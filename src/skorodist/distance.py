@@ -22,11 +22,16 @@ eps' > eps, so the decided predicate is exactly "infimum <= eps".
 
 Feasibility is monotone in eps and can change truth value only where a value
 constraint or a window/order/endpoint constraint activates; all such
-thresholds lie in the finite candidate set of ``candidate_thresholds``, which
-is why ``skorohod_distance`` returns the smallest feasible candidate rather
-than bisecting.  Plain bisection is kept (``bisect_distance``) as a
-cross-check, and ``oracle_distance`` recomputes everything by brute force over
-weak orderings, independent of the dynamic program.
+thresholds lie in the finite candidate set of ``candidate_thresholds``, so the
+distance is its smallest feasible element.  ``skorohod_distance`` finds that
+element without building the whole set: the value checks at t = 0 and t = 1
+bound it from below, a galloping search from there brackets it, and only the
+candidates inside the bracket are binary-searched.  Each probe runs the
+feasibility DP on the band of piece pairs that can meet within eps, so its
+cost follows the band around the answer rather than all m * p pairs.  Plain
+bisection is kept (``bisect_distance``) as a cross-check, and
+``oracle_distance`` recomputes everything by brute force over weak orderings,
+independent of the dynamic program.
 
 Certificates witness the value only up to ``CERT_TOL`` (the infimum may be
 unattained); they are concrete time changes whose recomputed time and value
@@ -36,7 +41,8 @@ suprema are reported alongside the distance.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -183,62 +189,124 @@ def uniform_distance(x: StepFunction, y: StepFunction, d) -> float:
 # of x land exactly on a jump of y without matching the corner pieces).
 # Every state entered carries the value constraint of its piece pair --
 # including zero-width dwells, which is exactly the closed-relaxation rule.
+#
+# Only a band of states can lie on a path to (m, p).  Write x-piece i as
+# [s_i, s_{i+1}) and y-piece j as [r_j, r_{j+1}), with s_0 = r_0 = 0 and
+# s_{m+1} = r_{p+1} = 1.  The entry time of (i, j) is at least r_j and at least
+# s_i - eps - tol.  Leaving column j < p needs an entry time of at most
+# r_{j+1} + tol, and leaving row i < m needs x-jump s_{i+1} placed by
+# s_{i+1} + eps + tol.  So a state with r_{j+1} < s_i - eps - 2 tol or
+# r_j > s_{i+1} + eps + 2 tol never reaches (m, p), and every state it can
+# enter is of the same kind.  Leaving such states out changes no other entry
+# time and no step of the path back from (m, p).  Row i therefore spans the
+# y-pieces found by bisecting r at s_i - eps - 2 tol and s_{i+1} + eps + 2 tol,
+# about (m + p)(1 + eps * jump density) states in all.
 
 
-class _AlignmentDP:
-    """Earliest-feasible-time table with back-pointers for one (x, y, eps)."""
+class _BandedDP:
+    """Feasibility probes at any eps for one (x, y, d).
 
-    __slots__ = ("a", "b", "eps", "time", "move", "feasible")
+    Each probe fills the banded earliest-entry-time table at its eps.  The
+    piece distances are evaluated lazily, once per solve, for the states that
+    some probe's band reaches.
+    """
 
-    def __init__(self, a, b, dmat, eps, tol):
-        m, p = len(a), len(b)
+    __slots__ = ("xv", "yv", "d", "a", "b", "edges", "tol", "dist", "dist_lo")
+
+    def __init__(self, x: StepFunction, y: StepFunction, d, tol: float = FEAS_TOL):
+        self.xv, self.yv, self.d = x.values, y.values, d
+        self.a, self.b = x.interior_jumps(), y.interior_jumps()
+        self.edges = (0.0, *self.a, 1.0)  # x-piece i is [edges[i], edges[i + 1])
+        self.tol = tol
+        # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
+        self.dist = [[] for _ in self.xv]
+        self.dist_lo = [0] * len(self.xv)
+
+    def distances(self, i, lo, hi):
+        """[d(x-piece i, y-piece j) for j = lo..hi]."""
+        row, start = self.dist[i], self.dist_lo[i]
+        if not row:
+            start = self.dist_lo[i] = lo
+        end = start + len(row)
+        if lo < start or hi >= end:
+            d, xi, yv = self.d, self.xv[i], self.yv
+            if lo < start:
+                row[:0] = [d(xi, yv[j]) for j in range(lo, start)]
+                start = self.dist_lo[i] = lo
+            if hi >= end:
+                row.extend([d(xi, yv[j]) for j in range(end, hi + 1)])
+        return row[lo - start : hi - start + 1]
+
+    def band(self, eps):
+        """(i, lo, hi): row i spans y-pieces lo..hi at eps."""
+        b, edges, margin = self.b, self.edges, eps + 2.0 * self.tol
+        lo = hi = 0
+        for i in range(len(edges) - 1):
+            lo = bisect_left(b, edges[i] - margin, lo)
+            hi = bisect_right(b, edges[i + 1] + margin, hi)
+            yield i, lo, hi
+
+    def probe(self, eps):
+        """Rows (lo, times, moves) of the table at eps, or None if (m, p)
+        cannot be entered.  Slot k of a row is state (i, lo - 1 + k); slot 0
+        stands for the state left of the band and is always None."""
+        b, tol, edges, distances = self.b, self.tol, self.edges, self.distances
         limit = eps + tol
-        ok = [[dmat[i][j] <= limit for j in range(p + 1)] for i in range(m + 1)]
-        time = [[None] * (p + 1) for _ in range(m + 1)]
-        move = [[None] * (p + 1) for _ in range(m + 1)]
-        if ok[0][0]:
-            time[0][0] = 0.0
-            for i in range(m + 1):
-                for j in range(p + 1):
-                    if (i == 0 and j == 0) or not ok[i][j]:
-                        continue
-                    # earliest entry time; diagonal preferred on ties so that
-                    # aligned jumps give clean certificates (x vs x yields the
-                    # identity)
-                    best = None
-                    bestmove = None
-                    if i >= 1 and j >= 1 and time[i - 1][j - 1] is not None:
-                        aa, bb = a[i - 1], b[j - 1]
-                        if time[i - 1][j - 1] <= bb + tol and abs(bb - aa) <= limit:
-                            best, bestmove = bb, "xy"
-                    if j >= 1 and time[i][j - 1] is not None:
+        rows = []
+        above, above_lo = [None], 0
+        for i, lo, hi in self.band(eps):
+            # entry times of (i - 1, lo - 1) and of (i - 1, j) for j = lo..hi
+            k = lo - above_lo
+            tdiag = above[k] if k < len(above) else None
+            up = above[k + 1 : hi - above_lo + 2]
+            up += [None] * (hi - lo + 1 - len(up))
+            aa = edges[i]
+            low = aa - eps
+            cap = min(aa + eps, 1.0) + tol
+            times = [None]
+            moves = [None]
+            left = None
+            # earliest entry time; diagonal preferred on ties so that aligned
+            # jumps give clean certificates (x vs x yields the identity)
+            for j, dv, tup in zip(range(lo, hi + 1), distances(i, lo, hi), up):
+                best = move = None
+                if dv <= limit:
+                    if j:
                         bb = b[j - 1]
-                        if time[i][j - 1] <= bb + tol and (best is None or bb < best):
-                            best, bestmove = bb, "y"
-                    if i >= 1 and time[i - 1][j] is not None:
-                        aa = a[i - 1]
-                        if time[i - 1][j] <= min(aa + eps, 1.0) + tol:
-                            u = min(max(time[i - 1][j], aa - eps, 0.0), 1.0)
-                            if best is None or u < best:
-                                best, bestmove = u, "x"
-                    time[i][j] = best
-                    move[i][j] = bestmove
-        self.a, self.b, self.eps = a, b, eps
-        self.time, self.move = time, move
-        self.feasible = time[m][p] is not None
+                        pin = bb + tol
+                        if tdiag is not None and tdiag <= pin and abs(bb - aa) <= limit:
+                            best, move = bb, "xy"
+                        if best is None and left is not None and left <= pin:
+                            best, move = bb, "y"
+                    elif not i:
+                        best = 0.0  # the start state (0, 0)
+                    if tup is not None and tup <= cap:
+                        u = min(max(tup, low, 0.0), 1.0)
+                        if best is None or u < best:
+                            best, move = u, "x"
+                times.append(best)
+                moves.append(move)
+                left, tdiag = best, tup
+            if times.count(None) == len(times):
+                return None
+            rows.append((lo, times, moves))
+            above, above_lo = times, lo
+        return rows if rows[-1][1][-1] is not None else None
 
-    def events(self):
-        """Path events in forward order: ("x"|"y"|"xy", time, warped x-jump)."""
-        a, b, eps = self.a, self.b, self.eps
+    def events(self, rows):
+        """Path events of a feasible probe in forward order:
+        ("x"|"y"|"xy", time, warped x-jump)."""
+        a, b = self.a, self.b
         out = []
         i, j = len(a), len(b)
         while i or j:
-            mv = self.move[i][j]
-            if mv == "x":
-                u = min(max(self.time[i - 1][j], a[i - 1] - eps, 0.0), 1.0)
-                out.append(["x", u, a[i - 1]])
+            lo, times, moves = rows[i]
+            k = j - lo + 1
+            move = moves[k]
+            if move == "x":
+                out.append(["x", times[k], a[i - 1]])
                 i -= 1
-            elif mv == "y":
+            elif move == "y":
                 out.append(["y", b[j - 1], None])
                 j -= 1
             else:
@@ -253,6 +321,75 @@ class _AlignmentDP:
             if out[k][1] > out[k + 1][1]:
                 out[k][1] = out[k + 1][1]
         return out
+
+    def in_band(self, i, j, eps):
+        """Whether state (i, j) lies in row i's band at eps."""
+        b, margin = self.b, eps + 2.0 * self.tol
+        return (j == len(b) or b[j] >= self.edges[i] - margin) and (
+            j == 0 or b[j - 1] <= self.edges[i + 1] + margin
+        )
+
+    def thresholds(self, lo, top):
+        """Sorted elements of ``candidate_thresholds`` in [lo, top]."""
+        out = {0.0} if lo <= 0.0 else set()
+        for i, jlo, jhi in self.band(top):
+            for j, v in enumerate(self.distances(i, jlo, jhi), jlo):
+                if lo <= v <= top and self.in_band(i, j, v):
+                    out.add(v)
+        b, reach = self.b, top + self.tol
+        for ai in self.a:
+            for v in (ai, 1.0 - ai):
+                if lo <= v <= top:
+                    out.add(v)
+            for bj in b[bisect_left(b, ai - reach) : bisect_right(b, ai + reach)]:
+                v = abs(ai - bj)
+                if lo <= v <= top:
+                    out.add(v)
+        return sorted(out)
+
+    def least_feasible(self):
+        """Smallest feasible candidate threshold and the rows of its probe.
+
+        Every eps below L - 2 tol, L = max(d(x(0), y(0)), d(x(1), y(1))),
+        fails the value check of state (0, 0) or (m, p).  Probe L, gallop
+        upward by doubling steps until a probe succeeds at some hi, then
+        binary-search the candidates in [last failure, hi + 2 tol]: the
+        predicate switches within 2 tol below a candidate, so the least
+        feasible candidate lies in that range.  From eps = 1 on every window
+        is open and only piece distances can bind, so the gallop jumps from
+        there to the largest piece distance, which is feasible.
+        """
+        m, p, tol = len(self.a), len(self.b), self.tol
+        lower = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
+        lo, hi, step = lower - 2.0 * tol, lower, 1.0 / (m + p + 2)
+        at_hi = self.probe(hi)
+        while at_hi is None:
+            lo = hi
+            if hi < 1.0:
+                hi, step = hi + step, 2.0 * step
+            else:
+                hi = max(max(self.distances(i, 0, p)) for i in range(m + 1))
+            if not lo < hi < math.inf:
+                raise ValueError(f"value metric gave a non-finite distance ({hi})")
+            at_hi = self.probe(hi)
+
+        def probe(eps):
+            return at_hi if eps == hi else self.probe(eps)
+
+        cands = self.thresholds(lo, hi + 2.0 * tol)
+        k, top, rows = 0, len(cands) - 1, None
+        while k < top:
+            mid = (k + top) // 2
+            probed = probe(cands[mid])
+            if probed is None:
+                k = mid + 1
+            else:
+                top, rows = mid, probed
+        if rows is None:
+            rows = probe(cands[top])
+            if rows is None:
+                raise RuntimeError("internal: largest bracketed threshold infeasible")
+        return cands[top], rows
 
 
 def _strictify(events, cert_tol=CERT_TOL, merge_tol=1e-11):
@@ -345,10 +482,11 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d, tol: float = FEAS_
     require_same_space(x.values[0], y.values[0])
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    dp = _AlignmentDP(x.interior_jumps(), y.interior_jumps(), _dmat(x, y, d), eps, tol)
-    if not dp.feasible:
+    dp = _BandedDP(x, y, d, tol)
+    rows = dp.probe(eps)
+    if rows is None:
         return False, None
-    events = dp.events()
+    events = dp.events(rows)
     _strictify(events)
     return True, _certificate_from_events(events)
 
@@ -356,58 +494,32 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d, tol: float = FEAS_
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
     """Finite set containing every eps at which feasibility can change.
 
-    Value constraints activate at the pairwise piece distances; window, order
-    and endpoint constraints activate at |a_i - b_j|, a_i and 1 - a_i.  In
-    between these points the feasibility predicate is constant, so the
-    distance is the smallest feasible element of this set.
+    Window, order and endpoint constraints activate at |a_i - b_j|, a_i and
+    1 - a_i.  Value constraints activate at the pairwise piece distances, but
+    a piece pair's distance v counts only if its state lies in the DP band at
+    eps = v: outside the band the state is never on a path to (m, p), so its
+    value check cannot change feasibility there.  Feasibility switches within
+    2 FEAS_TOL below an element of this set and is constant in between, so
+    the distance is the smallest feasible element.
     """
-    a, b = x.interior_jumps(), y.interior_jumps()
-    out = {0.0}
-    for xv in x.values:
-        for yv in y.values:
-            out.add(d(xv, yv))
-    for ai in a:
-        out.add(ai)
-        out.add(1.0 - ai)
-        for bj in b:
-            out.add(abs(ai - bj))
-    return sorted(out)
+    return _BandedDP(x, y, d).thresholds(0.0, math.inf)
 
 
 def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     """Exact Skorohod distance with a witnessing time change.
 
-    Binary-searches the sorted candidate thresholds with the feasibility DP
-    (feasibility is monotone in eps).  The certificate's recomputed time and
+    The value is the smallest feasible candidate threshold.  The search
+    brackets it from L = max(d(x(0), y(0)), d(x(1), y(1))) upward and
+    binary-searches only the candidates inside the bracket, each probe
+    filling the banded feasibility DP.  The certificate's recomputed time and
     value suprema satisfy ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
     require_same_space(x.values[0], y.values[0])
-    dmat = _dmat(x, y, d)
-    a, b = x.interior_jumps(), y.interior_jumps()
-    cands = candidate_thresholds(x, y, d)
-    certs = {}
-
-    def probe(k):
-        dp = _AlignmentDP(a, b, dmat, cands[k], FEAS_TOL)
-        if dp.feasible:
-            certs[k] = dp
-            return True
-        return False
-
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo not in certs:
-        if not probe(lo):
-            raise RuntimeError("internal: largest candidate threshold infeasible")
-    events = certs[lo].events()
+    dp = _BandedDP(x, y, d)
+    value, rows = dp.least_feasible()
+    events = dp.events(rows)
     _strictify(events)
     cert = _certificate_from_events(events)
-    value = cands[lo]
     time_sup = cert.warp_deviation()
     value_sup = uniform_distance(compose_time_change(x, cert), y, d)
     if max(time_sup, value_sup) > value + CERT_TOL:
@@ -418,11 +530,10 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
 def bisect_distance(x: StepFunction, y: StepFunction, d, tol: float = 1e-12) -> float:
     """Distance by plain bisection on feasibility; cross-check for the
     candidate-set computation."""
-    a, b = x.interior_jumps(), y.interior_jumps()
-    dmat = _dmat(x, y, d)
+    dp = _BandedDP(x, y, d)
 
     def feas(eps):
-        return _AlignmentDP(a, b, dmat, eps, FEAS_TOL).feasible
+        return dp.probe(eps) is not None
 
     lo = 0.0
     if feas(lo):

@@ -41,18 +41,36 @@ def random_time_change(rng, max_interior_knots=3) -> TimeChange:
             return TimeChange(knots)
 
 
-def perturb(x: StepFunction, rng, time_scale: float, value_scale: float) -> StepFunction:
-    """Jitter jump times (kept strictly ordered inside (0, 1)) and piece
-    values coordinate-wise; vector-valued x only."""
+def _ordered_times(jumps) -> list[float]:
+    """0 followed by the moved jump times, kept strictly ordered inside (0, 1).
+
+    Each time is pushed at least 1e-9 past its predecessor and at most to
+    1 - 1e-9.  Times pushed past 1 pile up at the top; the pile is then laid
+    back below 1, 1e-9 apart, keeping the times before it.
+    """
     times = [0.0]
     prev = 0.0
-    for t in x.times[1:]:
-        nt = t + rng.uniform(-time_scale, time_scale)
+    for nt in jumps:
         nt = min(max(nt, prev + 1e-9), 1.0 - 1e-9)
         if nt <= prev:
             nt = prev + 1e-9
         times.append(nt)
         prev = nt
+    if times[-1] >= 1.0:
+        cap = 1.0 - 1e-9
+        for k in range(len(times) - 1, 0, -1):
+            if times[k] < cap:
+                break
+            times[k] = cap
+            cap -= 1e-9
+    return times
+
+
+def perturb(x: StepFunction, rng, time_scale: float, value_scale: float) -> StepFunction:
+    """Jitter jump times (kept strictly ordered inside (0, 1)) and piece
+    values coordinate-wise; vector-valued x only."""
+    jumps = (t + rng.uniform(-time_scale, time_scale) for t in x.times[1:])
+    times = _ordered_times(jumps)
     values = [
         tuple(c + rng.uniform(-value_scale, value_scale) for c in v) for v in x.values
     ]
@@ -83,14 +101,8 @@ def shifted_sequence(x: StepFunction, depth: int, rng) -> list[StepFunction]:
     out = []
     for n in range(1, depth + 1):
         shift = 1.0 / (10.0 * n)
-        times = [0.0]
-        prev = 0.0
-        for t, sgn in zip(x.times[1:], directions_t):
-            nt = min(max(t + sgn * shift, prev + 1e-9), 1.0 - 1e-9)
-            if nt <= prev:
-                nt = prev + 1e-9
-            times.append(nt)
-            prev = nt
+        jumps = (t + sgn * shift for t, sgn in zip(x.times[1:], directions_t))
+        times = _ordered_times(jumps)
         values = [
             tuple(c + sgn * shift for c, sgn in zip(v, sgns))
             for v, sgns in zip(x.values, directions_v)

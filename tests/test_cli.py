@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skorodist
 from skorodist.cli import main
 
 IND_05 = {"times": [0, 0.5], "values": [[0], [1]]}
@@ -138,10 +141,14 @@ def test_example_k_report(capsys):
 
 
 def test_console_script_entry_point(traces):
+    # run the CLI from the package tree these tests import
+    src = str(Path(skorodist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "skorodist.cli", "distance", traces["x"], traces["y"]],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == pytest.approx(0.1, abs=1e-9)

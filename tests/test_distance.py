@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import (
     CertificateError,
+    _BandedDP,
     OracleInstance,
     OracleTooLarge,
     TimeChange,
@@ -17,8 +20,9 @@ from skorodist.distance import (
     skorohod_distance,
     uniform_distance,
 )
-from skorodist.pseudometric import Euclidean, coordinate_family
+from skorodist.pseudometric import Discrete, Euclidean, Scaled, coordinate_family
 from skorodist.sampling import (
+    GRID_20,
     random_step_function,
     random_time_change,
     scalar_level_value,
@@ -105,11 +109,41 @@ def test_feasible_monotone_in_eps():
         vs, d = sampler_for(case)
         x = random_step_function(rng, 4, vs)
         y = random_step_function(rng, 4, vs)
+        # the bracketed search also probes between candidates
+        cands = candidate_thresholds(x, y, d)
+        probes = sorted({e for c in cands for e in (c - 1e-12, c, c + 1e-12)})
         prev = False
-        for eps in candidate_thresholds(x, y, d):
+        for eps in probes:
+            if eps < 0:
+                continue
             now, _ = feasible(x, y, eps, d)
             assert now or not prev  # once true, stays true
             prev = prev or now
+
+
+class _FullTable(_BandedDP):
+    """The same DP over every state, with no band."""
+
+    __slots__ = ()
+
+    def band(self, eps):
+        for i in range(len(self.xv)):
+            yield i, 0, len(self.b)
+
+
+def test_band_leaves_feasibility_and_path_unchanged():
+    rng = random.Random(10)
+    for case in range(40):
+        vs, d = sampler_for(case)
+        x = random_step_function(rng, 12, vs)
+        y = random_step_function(rng, 12, vs)
+        banded, full = _BandedDP(x, y, d), _FullTable(x, y, d)
+        for c in candidate_thresholds(x, y, d):
+            for eps in (c - 1e-12, c, c + 1e-12):
+                rows, ref = banded.probe(eps), full.probe(eps)
+                assert (rows is None) == (ref is None)
+                if rows is not None:
+                    assert banded.events(rows) == full.events(ref)
 
 
 def test_feasible_rejects_mismatched_spaces():
@@ -152,9 +186,53 @@ def test_distance_equal_jump_different_heights():
     assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
 
 
+def test_distance_can_sit_within_tolerance_below_endpoint_bound():
+    # L = |0.5 - 0.3| = 0.2 at t = 0, but the candidate 1 - 0.8 =
+    # 0.19999999999999996 already passes the value check within FEAS_TOL.
+    x = make_step([0.0, 0.8], [0.5, 0.3])
+    y = make_step([0.0], [0.3])
+    assert skorohod_distance(x, y, ABS).value == 1.0 - 0.8
+
+
+def test_value_candidates_need_their_state_in_band():
+    # |0.4 - 0.1| = 0.30000000000000004 binds.  The piece distance 0.3 comes
+    # only from pieces more than 0.3 apart in time, whose states lie outside
+    # the band at eps = 0.3, so it is no candidate and cannot be returned.
+    x = make_step([0.0, 0.1, 0.95], [0.0, 1.0, 0.3])
+    y = make_step([0.0, 0.4, 0.95], [0.0, 1.0, 0.3])
+    res = skorohod_distance(x, y, ABS)
+    assert res.value == 0.4 - 0.1
+    assert 0.3 not in candidate_thresholds(x, y, ABS)
+    assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
+
+
 def test_distance_constants():
     assert skorohod_distance(ZERO, ONE, ABS).value == 1.0
     assert oracle_distance(ZERO, ONE, ABS) == pytest.approx(1.0, abs=1e-12)
+
+
+class _CountingDP(_BandedDP):
+    __slots__ = ("probes",)
+
+    def probe(self, eps):
+        self.probes = getattr(self, "probes", 0) + 1
+        return super().probe(eps)
+
+
+def test_distance_far_above_one():
+    # Past eps = 1 every window is open; the search jumps to the largest
+    # piece distance instead of galloping through the decades.
+    x = make_step([0.0, 0.3, 0.6], [0.0, 1e300, 0.0])
+    dp = _CountingDP(x, ZERO, ABS)
+    assert dp.least_feasible()[0] == 1e300
+    assert dp.probes <= 5
+    y = make_step([0.0, 0.3, 0.6], [0.0, 1e6, 0.0])
+    assert skorohod_distance(y, ZERO, ABS).value == oracle_distance(y, ZERO, ABS) == 1e6
+
+
+def test_distance_rejects_non_finite_metric():
+    with pytest.raises(ValueError, match="non-finite"):
+        skorohod_distance(IND_05, IND_06, Scaled(float("inf"), ABS))
 
 
 def test_oracle_identical_inputs():
@@ -267,3 +345,67 @@ def test_representation_independence():
         a = skorohod_distance(x, y, ABS).value
         b = skorohod_distance(x_padded, y, ABS).value
         assert abs(a - b) <= 1e-9
+
+
+# --- property: the bracketed search returns the least feasible candidate ---
+
+GAP = 1e-6  # jumps stay this far apart and from 0 and 1
+LEVELS = (0.0, 0.1, 0.3, 0.4, 0.7, 1.0)
+
+
+@st.composite
+def jump_times(draw, max_jumps=40):
+    """0 then up to max_jumps jumps: on the 1/20 grid, off it, or in clusters
+    of near-coincident jumps."""
+    kind = draw(st.sampled_from(("grid", "off", "close")))
+    n = draw(st.integers(0, max_jumps))
+    inside = st.floats(GAP, 1.0 - GAP)
+    if kind == "grid":
+        raw = draw(st.lists(st.sampled_from(GRID_20), min_size=n, max_size=n))
+    elif kind == "off":
+        raw = draw(st.lists(inside, min_size=n, max_size=n))
+    else:
+        gap = draw(st.floats(GAP, 10 * GAP))
+        centres = draw(st.lists(inside, min_size=n // 2, max_size=n // 2))
+        raw = [c + k * gap for c in centres for k in range(draw(st.integers(1, 3)))]
+    times = [0.0]
+    for t in sorted(raw):
+        if times[-1] + GAP <= t <= 1.0 - GAP and len(times) <= max_jumps:
+            times.append(t)
+    return times
+
+
+@st.composite
+def instances(draw):
+    tx, ty = draw(jump_times()), draw(jump_times())
+    if draw(st.booleans()):
+        value = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0))
+        d = ABS
+    else:
+        value = st.sampled_from("abc")
+        d = Discrete()
+    x = make_step(tx, [draw(value) for _ in tx])
+    y = make_step(ty, [draw(value) for _ in ty])
+    return x, y, d
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=instances(), data=st.data())
+def test_distance_is_least_feasible_candidate(inst, data):
+    x, y, d = inst
+    res = skorohod_distance(x, y, d)
+    cands = candidate_thresholds(x, y, d)
+    assert res.value in cands
+    k = cands.index(res.value)
+    assert feasible(x, y, res.value, d)[0]
+    assert k == 0 or not feasible(x, y, cands[k - 1], d)[0]
+    other = data.draw(st.integers(0, len(cands) - 1))
+    assert feasible(x, y, cands[other], d)[0] == (other >= k)
+    ok, bound = check_certificate(x, y, d, res.value, res.certificate)
+    assert ok, bound
