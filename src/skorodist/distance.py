@@ -26,7 +26,9 @@ thresholds lie in the finite candidate set of ``candidate_thresholds``, so the
 distance is its smallest feasible element.  ``skorohod_distance`` finds that
 element without building the whole set: the value checks at t = 0 and t = 1
 bound it from below, a galloping search from there brackets it, and only the
-candidates inside the bracket are binary-searched.  Each probe runs the
+candidates inside the bracket that can bind are binary-searched (so where two
+thresholds lie within the feasibility tolerance of each other, the returned
+one can be the larger, by less than 2 * FEAS_TOL).  Each probe runs the
 feasibility DP on the band of piece pairs that can meet within eps, so its
 cost follows the band around the answer rather than all m * p pairs.  Plain
 bisection is kept (``bisect_distance``) as a cross-check, and
@@ -237,14 +239,20 @@ class _BandedDP:
                 row.extend([d(xi, yv[j]) for j in range(end, hi + 1)])
         return row[lo - start : hi - start + 1]
 
-    def band(self, eps):
-        """(i, lo, hi): row i spans y-pieces lo..hi at eps."""
+    def band(self, eps, start=0):
+        """(i, lo, hi) for rows i = start..m: row i spans y-pieces lo..hi at
+        eps."""
         b, edges, margin = self.b, self.edges, eps + 2.0 * self.tol
         lo = hi = 0
-        for i in range(len(edges) - 1):
+        for i in range(start, len(edges) - 1):
             lo = bisect_left(b, edges[i] - margin, lo)
             hi = bisect_right(b, edges[i + 1] + margin, hi)
             yield i, lo, hi
+
+    def largest_distance(self):
+        """The largest piece distance; feasible together with eps >= 1."""
+        p = len(self.b)
+        return max(max(self.distances(i, 0, p)) for i in range(len(self.xv)))
 
     def probe(self, eps):
         """Rows (lo, times, moves) of the table at eps, or None if (m, p)
@@ -322,20 +330,19 @@ class _BandedDP:
                 out[k][1] = out[k + 1][1]
         return out
 
-    def in_band(self, i, j, eps):
-        """Whether state (i, j) lies in row i's band at eps."""
-        b, margin = self.b, eps + 2.0 * self.tol
-        return (j == len(b) or b[j] >= self.edges[i] - margin) and (
-            j == 0 or b[j - 1] <= self.edges[i + 1] + margin
-        )
-
     def thresholds(self, lo, top):
-        """Sorted elements of ``candidate_thresholds`` in [lo, top]."""
+        """Sorted elements of ``candidate_thresholds`` in [lo, top] that can
+        bind: a piece distance v counts only if its state lies in the band at
+        eps = v.  Outside the band the state is never on a path to (m, p), so
+        its value check cannot switch feasibility."""
         out = {0.0} if lo <= 0.0 else set()
-        for i, jlo, jhi in self.band(top):
+        band = self.band
+        for i, jlo, jhi in band(top):
             for j, v in enumerate(self.distances(i, jlo, jhi), jlo):
-                if lo <= v <= top and self.in_band(i, j, v):
-                    out.add(v)
+                if lo <= v <= top:
+                    _, vlo, vhi = next(band(v, i))
+                    if vlo <= j <= vhi:
+                        out.add(v)
         b, reach = self.b, top + self.tol
         for ai in self.a:
             for v in (ai, 1.0 - ai):
@@ -355,9 +362,14 @@ class _BandedDP:
         upward by doubling steps until a probe succeeds at some hi, then
         binary-search the candidates in [last failure, hi + 2 tol]: the
         predicate switches within 2 tol below a candidate, so the least
-        feasible candidate lies in that range.  From eps = 1 on every window
-        is open and only piece distances can bind, so the gallop jumps from
-        there to the largest piece distance, which is feasible.
+        feasible candidate that can bind lies in that range.  From eps = 1 on
+        every window is open and only piece distances can bind, so the gallop
+        jumps from there to the largest piece distance, which is feasible.
+
+        A piece distance whose state lies outside the band is skipped even
+        when it sits within FEAS_TOL below the binding threshold and would
+        pass the tolerant probe, so the result can exceed the smallest
+        feasible element of ``candidate_thresholds`` by less than 2 tol.
         """
         m, p, tol = len(self.a), len(self.b), self.tol
         lower = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
@@ -368,7 +380,7 @@ class _BandedDP:
             if hi < 1.0:
                 hi, step = hi + step, 2.0 * step
             else:
-                hi = max(max(self.distances(i, 0, p)) for i in range(m + 1))
+                hi = self.largest_distance()
             if not lo < hi < math.inf:
                 raise ValueError(f"value metric gave a non-finite distance ({hi})")
             at_hi = self.probe(hi)
@@ -494,15 +506,24 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d, tol: float = FEAS_
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
     """Finite set containing every eps at which feasibility can change.
 
-    Window, order and endpoint constraints activate at |a_i - b_j|, a_i and
-    1 - a_i.  Value constraints activate at the pairwise piece distances, but
-    a piece pair's distance v counts only if its state lies in the DP band at
-    eps = v: outside the band the state is never on a path to (m, p), so its
-    value check cannot change feasibility there.  Feasibility switches within
-    2 FEAS_TOL below an element of this set and is constant in between, so
-    the distance is the smallest feasible element.
+    Value constraints activate at the pairwise piece distances; window, order
+    and endpoint constraints activate at |a_i - b_j|, a_i and 1 - a_i.  In
+    between these points the feasibility predicate is constant, so the
+    distance is the smallest feasible element of this set.  This is the full
+    O(mp) reference set; ``skorohod_distance`` searches only the part of it
+    inside a bracket around the answer.
     """
-    return _BandedDP(x, y, d).thresholds(0.0, math.inf)
+    a, b = x.interior_jumps(), y.interior_jumps()
+    out = {0.0}
+    for xv in x.values:
+        for yv in y.values:
+            out.add(d(xv, yv))
+    for ai in a:
+        out.add(ai)
+        out.add(1.0 - ai)
+        for bj in b:
+            out.add(abs(ai - bj))
+    return sorted(out)
 
 
 def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
@@ -538,9 +559,11 @@ def bisect_distance(x: StepFunction, y: StepFunction, d, tol: float = 1e-12) -> 
     lo = 0.0
     if feas(lo):
         return 0.0
-    hi = max(candidate_thresholds(x, y, d))
-    if not feas(hi):
-        raise RuntimeError("internal: largest candidate threshold infeasible")
+    # every window is open from eps = 1, so only a non-finite (inf or NaN)
+    # piece distance keeps hi from being a finite feasible bracket top
+    hi = max(1.0, dp.largest_distance())
+    if not (hi < math.inf and feas(hi)):
+        raise ValueError("value metric gave a non-finite distance")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feas(mid):

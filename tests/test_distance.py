@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import (
+    FEAS_TOL,
     CertificateError,
     _BandedDP,
     OracleInstance,
@@ -194,15 +195,19 @@ def test_distance_can_sit_within_tolerance_below_endpoint_bound():
     assert skorohod_distance(x, y, ABS).value == 1.0 - 0.8
 
 
-def test_value_candidates_need_their_state_in_band():
-    # |0.4 - 0.1| = 0.30000000000000004 binds.  The piece distance 0.3 comes
-    # only from pieces more than 0.3 apart in time, whose states lie outside
-    # the band at eps = 0.3, so it is no candidate and cannot be returned.
-    x = make_step([0.0, 0.1, 0.95], [0.0, 1.0, 0.3])
-    y = make_step([0.0, 0.4, 0.95], [0.0, 1.0, 0.3])
+def test_out_of_band_value_candidate_is_skipped():
+    # |0.4 - 0.1| = 0.30000000000000004 binds.  The candidate 0.3 passes the
+    # tolerant probe too, but it is only the distance of pieces 0.35 apart in
+    # time: their state lies in the band at the gallop's bracket top 0.5 but
+    # not at eps = 0.3, so the search skips it and returns the binding
+    # threshold.
+    x = make_step([0.0, 0.1, 0.75], [0.0, 1.0, 0.3])
+    y = make_step([0.0, 0.4, 0.75], [0.0, 1.0, 0.3])
     res = skorohod_distance(x, y, ABS)
     assert res.value == 0.4 - 0.1
-    assert 0.3 not in candidate_thresholds(x, y, ABS)
+    assert 0.3 in candidate_thresholds(x, y, ABS)
+    assert feasible(x, y, 0.3, ABS)[0]
+    assert res.value - 0.3 < 2 * FEAS_TOL
     assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
 
 
@@ -233,6 +238,10 @@ def test_distance_far_above_one():
 def test_distance_rejects_non_finite_metric():
     with pytest.raises(ValueError, match="non-finite"):
         skorohod_distance(IND_05, IND_06, Scaled(float("inf"), ABS))
+    with pytest.raises(ValueError, match="non-finite"):
+        bisect_distance(IND_05, IND_06, Scaled(float("inf"), ABS))
+    with pytest.raises(ValueError, match="non-finite"):
+        bisect_distance(IND_05, ZERO, lambda v, w: 0.0 if v == w else float("inf"))
 
 
 def test_oracle_identical_inputs():
@@ -389,6 +398,26 @@ def instances(draw):
     return x, y, d
 
 
+def _can_bind(x, y, d):
+    """candidate_thresholds without the piece distances v of pieces lying
+    more than v + 2 FEAS_TOL apart in time, written from the piece intervals
+    [s_i, s_{i+1}) and [r_j, r_{j+1})."""
+    s, r = (*x.times, 1.0), (*y.times, 1.0)
+    a, b = x.interior_jumps(), y.interior_jumps()
+    out = {0.0, *a, *(1.0 - t for t in a), *(abs(t - u) for t in a for u in b)}
+    for i, xv in enumerate(x.values):
+        for j, yv in enumerate(y.values):
+            v = d(xv, yv)
+            margin = v + 2 * FEAS_TOL
+            if r[j + 1] >= s[i] - margin and r[j] <= s[i + 1] + margin:
+                out.add(v)
+    return sorted(out)
+
+
+def _least_feasible(x, y, d, cands):
+    return next(c for c in cands if feasible(x, y, c, d)[0])
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -401,11 +430,11 @@ def test_distance_is_least_feasible_candidate(inst, data):
     x, y, d = inst
     res = skorohod_distance(x, y, d)
     cands = candidate_thresholds(x, y, d)
+    least = _least_feasible(x, y, d, cands)
     assert res.value in cands
-    k = cands.index(res.value)
-    assert feasible(x, y, res.value, d)[0]
-    assert k == 0 or not feasible(x, y, cands[k - 1], d)[0]
-    other = data.draw(st.integers(0, len(cands) - 1))
-    assert feasible(x, y, cands[other], d)[0] == (other >= k)
+    assert least <= res.value < least + 2 * FEAS_TOL
+    other = data.draw(st.sampled_from(cands))
+    assert feasible(x, y, other, d)[0] == (other >= least)
+    assert res.value == _least_feasible(x, y, d, _can_bind(x, y, d))
     ok, bound = check_certificate(x, y, d, res.value, res.certificate)
     assert ok, bound
