@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,26 @@ def cmd_example_k(args) -> int:
     return EXIT_OK if result["pass"] else EXIT_FAIL
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skorodist",
@@ -154,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run verification suites")
     p_suite.add_argument("name", choices=[*SUITES, "all"])
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--trials", type=int, default=None)
-    p_suite.add_argument("--eps", type=float, default=None)
+    p_suite.add_argument("--trials", type=_positive_int, default=None)
+    p_suite.add_argument("--eps", type=_positive_float, default=None)
     p_suite.add_argument("--out")
     p_suite.set_defaults(func=cmd_suite)
 

@@ -141,10 +141,6 @@ class TimeChange:
         return cls(pairs)
 
 
-def warp_deviation(lam: TimeChange) -> float:
-    return lam.warp_deviation()
-
-
 @dataclass(frozen=True)
 class DistanceResult:
     """Distance value with a witnessing time change.
@@ -753,11 +749,6 @@ def oracle_distance(x: StepFunction, y: StepFunction, d) -> float:
     """Brute-force Skorohod distance; requires at most 10 interior jumps in
     total.  Independent of the dynamic-programming code path."""
     return OracleInstance(x, y, d).distance()
-
-
-def oracle_feasible(x: StepFunction, y: StepFunction, eps: float, d) -> bool:
-    """Brute-force counterpart of :func:`feasible` (no witness)."""
-    return OracleInstance(x, y, d).feasible_at(eps)
 
 
 def result_from_json(text: str):

@@ -23,17 +23,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .cadlag import Value, ValueSpaceMismatch
 from .maps import map_from_config
 
 
 class Pseudometric:
-    """Base class; concrete kinds are frozen dataclasses implementing __call__."""
+    """Base class; concrete kinds are frozen dataclasses implementing __call__.
+
+    ``row(a, bs)`` evaluates one point against a sequence of others, ``[self(a,
+    b) for b in bs]``.  ``Coordinate``, ``Euclidean`` and ``MaxOf`` override
+    it to check the value space of the whole batch in one pass and to compute
+    the values without a Python call per pair; their results are
+    bit-identical to ``__call__``, and a batch with a bad value raises the
+    error that the first bad pair raises.  The uniform-modulus sampler
+    evaluates its candidate balls this way.
+    """
 
     def __call__(self, a: Value, b: Value) -> float:
         raise NotImplementedError
+
+    def row(self, a: Value, bs) -> list[float]:
+        return [self(a, b) for b in bs]
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -45,6 +57,19 @@ def _vector_pair(a: Value, b: Value):
     if len(a) != len(b):
         raise ValueSpaceMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
     return a, b
+
+
+def _vectors_match(a: Value, bs) -> bool:
+    """Whether ``_vector_pair`` accepts (a, b) for every b in bs, decided from
+    the batch's lengths and types without a call per pair."""
+    try:
+        return (
+            not isinstance(a, str)
+            and set(map(len, bs)) <= {len(a)}
+            and not any(issubclass(t, str) for t in set(map(type, bs)))
+        )
+    except TypeError:  # a value without a length; the pairwise loop says which
+        return False
 
 
 @dataclass(frozen=True)
@@ -65,6 +90,13 @@ class Coordinate(Pseudometric):
             )
         return abs(a[self.k - 1] - b[self.k - 1])
 
+    def row(self, a, bs):
+        if not _vectors_match(a, bs) or self.k > len(a):
+            return super().row(a, bs)  # raises as the first bad pair does
+        k = self.k - 1
+        ak = a[k]
+        return [abs(ak - b[k]) for b in bs]
+
     def to_config(self):
         return {"kind": "coordinate", "k": self.k}
 
@@ -74,6 +106,11 @@ class Euclidean(Pseudometric):
     def __call__(self, a, b):
         a, b = _vector_pair(a, b)
         return math.dist(a, b)
+
+    def row(self, a, bs):
+        if not _vectors_match(a, bs):
+            return super().row(a, bs)  # raises as the first bad pair does
+        return list(map(math.dist, repeat(a), bs))
 
     def to_config(self):
         return {"kind": "euclidean"}
@@ -141,6 +178,15 @@ class MaxOf(Pseudometric):
 
     def __call__(self, a, b):
         return max(p(a, b) for p in self.parts)
+
+    def row(self, a, bs):
+        try:
+            rows = [p.row(a, bs) for p in self.parts]
+        except Exception:
+            # A part failed.  The pairwise loop raises the first bad pair's
+            # error, which may come from a later part on an earlier pair.
+            return super().row(a, bs)
+        return rows[0] if len(rows) == 1 else list(map(max, *rows))
 
     def to_config(self):
         return {"kind": "max_of", "parts": [p.to_config() for p in self.parts]}

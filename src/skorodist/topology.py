@@ -14,7 +14,12 @@ Three procedures, all operating on finite data:
   delta = min delta_z.  Analytic fast paths cover rho equal to an index
   metric (delta = eps/2) and Euclidean rho under a full coordinate family
   (delta = eps/(2*sqrt(dim)), since the Euclidean norm is at most sqrt(dim)
-  times the coordinate maximum).
+  times the coordinate maximum).  Every returned modulus, fast path or not,
+  is post-validated by the same sampling.  A ball is evaluated in batches:
+  ``d_index.row(z, candidates)`` over the whole candidate list, then
+  ``rho.row(z, hits)`` over the hits only, so the value space is checked
+  once per candidate list rather than once per sample; the values, the
+  verdicts and the RNG draws are those of the pairwise evaluation.
 
 * ``t1_transfer_check`` -- the transfer mechanism behind topology
   independence, run empirically: with (j, delta) from ``uniform_modulus``
@@ -76,12 +81,17 @@ def _candidates_near(z, r_tight, r_wide, rng, n, alphabet):
                 "label values need an explicit alphabet to sample from"
             )
         return list(alphabet)
+    # rng.uniform(-r, r) written out as CPython computes it, -r + (r - -r) *
+    # random(), so that every coordinate and the RNG stream are unchanged.
+    draw = rng.random
+    tight = (-r_tight, r_tight - -r_tight)
+    wide = (-r_wide, r_wide - -r_wide)
     out = []
     for _ in range(n):
         coords = []
         for c in z:
-            r = r_tight if rng.random() < 0.5 else r_wide
-            coords.append(c + rng.uniform(-r, r))
+            low, width = tight if draw() < 0.5 else wide
+            coords.append(c + (low + width * draw()))
         out.append(tuple(coords))
     return out
 
@@ -93,12 +103,16 @@ def _ball_ok(d_index, z, ball_radius, rho, bound, rng, samples, min_hits, alphab
     cands = _candidates_near(
         z, ball_radius, ball_radius + 2.0 * bound, rng, samples, alphabet
     )
-    hits = [y for y in cands if d_index(z, y) < ball_radius]
-    if isinstance(z, str):
-        return all(rho(z, y) < bound for y in hits)
-    if len(hits) < min_hits:
+    hits = _hits(d_index, z, cands, ball_radius)
+    # A label ball is computed exactly over the alphabet: no minimum count.
+    if len(hits) < min_hits and not isinstance(z, str):
         return False
-    return all(rho(z, y) < bound for y in hits)
+    return all(r < bound for r in rho.row(z, hits))
+
+
+def _hits(d_index, z, cands, radius):
+    """The candidates inside the open d_index ball of ``radius`` around z."""
+    return [y for y, d in zip(cands, d_index.row(z, cands)) if d < radius]
 
 
 def uniform_modulus(
@@ -185,8 +199,9 @@ def _post_validate(family, points, rho, eps, mod, rng, samples, alphabet):
         cands = _candidates_near(
             z, mod.delta, mod.delta + 2.0 * eps, rng, samples, alphabet
         )
-        for y in cands:
-            if d_index(z, y) < mod.delta and not rho(z, y) < eps:
+        hits = _hits(d_index, z, cands, mod.delta)
+        for y, r in zip(hits, rho.row(z, hits)):
+            if not r < eps:
                 raise ModulusValidationError(
                     f"modulus {mod} failed post-validation at z={z!r}, y={y!r}"
                 )

@@ -152,3 +152,32 @@ def test_console_script_entry_point(traces):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == pytest.approx(0.1, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps", "0"),
+        ("--eps", "-0.1"),
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--eps", "x"),
+        ("--trials", "0"),
+        ("--trials", "-3"),
+        ("--trials", "1.5"),
+    ],
+)
+def test_suite_rejects_bad_eps_and_trials(flag, value, capsys):
+    # rejected at argument parsing: exit 2, the parse-error code, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "transfer", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
+def test_suite_accepts_smallest_valid_trials_and_eps(capsys):
+    assert main(["suite", "transfer", "--trials", "1", "--eps", "0.2"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["suites"][0]["cases"] == 10  # 5 functions x 2 directions x 1

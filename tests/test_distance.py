@@ -17,7 +17,6 @@ from skorodist.distance import (
     check_certificate,
     feasible,
     oracle_distance,
-    oracle_feasible,
     skorohod_distance,
     uniform_distance,
 )
@@ -88,8 +87,9 @@ def test_feasible_trivial_identity():
 
 def test_feasible_indicator_threshold():
     # independent confirmation by the brute-force oracle first
-    assert oracle_feasible(IND_05, IND_06, 0.09, ABS) is False
-    assert oracle_feasible(IND_05, IND_06, 0.1, ABS) is True
+    oracle = OracleInstance(IND_05, IND_06, ABS)
+    assert oracle.feasible_at(0.09) is False
+    assert oracle.feasible_at(0.1) is True
     ok, _ = feasible(IND_05, IND_06, 0.09, ABS)
     assert not ok
     ok, cert = feasible(IND_05, IND_06, 0.1, ABS)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch
-from skorodist.maps import SquareCoords
+from skorodist.maps import Identity, Project, SquareCoords
 from skorodist.pseudometric import (
     Coordinate,
     Discrete,
@@ -159,3 +161,102 @@ def test_invalid_index():
         fam.metric(frozenset())
     with pytest.raises(ValueError):
         fam.metric({1, 5})
+
+
+# --- one-to-many evaluation --------------------------------------------------
+
+DIM = 2
+_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_vector = st.tuples(*[_coord] * DIM)
+# Under SquareCoords and Identity every metric keeps the value space: labels
+# and vectors of another dimension fail under it as under its leaves.
+# Project((1,)) lets a pulled-back part accept vectors of any dimension.
+_KEEP_SPACE = [SquareCoords(), Identity()]
+
+
+def _metrics(value_maps):
+    return st.recursive(
+        st.one_of(
+            st.builds(Coordinate, st.integers(1, DIM)),
+            st.just(Euclidean()),
+            st.just(Discrete()),
+        ),
+        lambda inner: st.one_of(
+            st.builds(Scaled, st.floats(0.0, 10.0), inner),
+            st.builds(PulledBack, st.sampled_from(value_maps), inner),
+            st.lists(inner, min_size=1, max_size=3).map(lambda ps: MaxOf(tuple(ps))),
+        ),
+        max_leaves=4,
+    )
+
+
+_BAD = st.sampled_from(["idle", "ab", (0.5,), (0.5, 0.5, 0.5)])
+_ROW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _outcome(evaluate):
+    try:
+        return _bits(evaluate())
+    except ValueSpaceMismatch as exc:
+        return f"raises {exc}"
+
+
+@_ROW_SETTINGS
+@given(d=_metrics(_KEEP_SPACE), a=_vector, bs=st.lists(_vector, max_size=20))
+def test_row_is_bit_identical_to_pairwise_calls(d, a, bs):
+    assert _bits(d.row(a, bs)) == _bits([d(a, b) for b in bs])
+    assert d.row(a, []) == []
+
+
+@_ROW_SETTINGS
+@given(
+    d=_metrics(_KEEP_SPACE),
+    a=_vector,
+    bs=st.lists(_vector, max_size=20),
+    at=st.integers(0, 20),
+    bad=_BAD,
+)
+def test_row_raises_what_the_first_bad_pair_raises(d, a, bs, at, bad):
+    bs.insert(min(at, len(bs)), bad)
+    with pytest.raises(ValueSpaceMismatch) as pairwise:
+        [d(a, b) for b in bs]
+    with pytest.raises(ValueSpaceMismatch) as batched:
+        d.row(a, bs)
+    assert str(batched.value) == str(pairwise.value)
+
+
+@_ROW_SETTINGS
+@given(
+    d=_metrics([*_KEEP_SPACE, Project((1,))]),
+    a=_vector,
+    bs=st.lists(_vector, max_size=10),
+    bad=st.lists(st.tuples(st.integers(0, 10), _BAD), min_size=1, max_size=3),
+)
+def test_row_fails_where_and_as_pairwise_calls_fail(d, a, bs, bad):
+    for at, value in bad:
+        bs.insert(min(at, len(bs)), value)
+    assert _outcome(lambda: d.row(a, bs)) == _outcome(lambda: [d(a, b) for b in bs])
+
+
+def test_row_edge_cases():
+    # a coordinate past the dimension of the point fails on every pair
+    with pytest.raises(ValueSpaceMismatch, match="coordinate 3"):
+        Coordinate(3).row((0.0, 1.0), [(1.0, 1.0)])
+    with pytest.raises(ValueSpaceMismatch, match="label"):
+        Euclidean().row("idle", [(0.0,)])
+    # no pair, no check: as the pairwise loop
+    assert Coordinate(3).row((0.0, 1.0), []) == []
+    assert Euclidean().row("idle", []) == []
+    assert MaxOf((Coordinate(1),)).row((0.0, 1.0), [(2.0, 5.0)]) == [2.0]
+    assert Discrete().row("idle", ["idle", "busy"]) == [0.0, 1.0]
+    with pytest.raises(ValueSpaceMismatch, match="label value compared"):
+        Discrete().row("idle", ["busy", (0.0,)])
+    # The first part accepts the 3-vector and fails on the label; the pairwise
+    # loop reaches the 3-vector under the second part first.
+    mixed = MaxOf((PulledBack(Project((1,)), Euclidean()), Euclidean()))
+    with pytest.raises(ValueSpaceMismatch, match="dimension mismatch: 2 vs 3"):
+        mixed.row((0.0, 0.0), [(1.0, 1.0, 1.0), "idle"])

@@ -15,8 +15,10 @@ from skorodist.maps import (
 )
 from skorodist.pseudometric import (
     Coordinate,
+    Discrete,
     Euclidean,
     PulledBack,
+    Scaled,
     coordinate_family,
     euclidean_family,
     max_close,
@@ -29,7 +31,10 @@ from skorodist.sampling import (
     shifted_sequence,
 )
 from skorodist.topology import (
+    Modulus,
     ModulusValidationError,
+    _candidates_near,
+    _post_validate,
     pushforward,
     t1_transfer_check,
     t2_continuity_check,
@@ -118,6 +123,67 @@ def test_modulus_on_label_space():
     assert mod2.delta > 0
 
 
+# Moduli and the next RNG draw after each call, recorded with the pairwise
+# metric evaluation that ``Pseudometric.row`` replaced: batching the balls must
+# change neither the radii nor the number or order of draws.
+@pytest.mark.parametrize(
+    "family, K, rho, eps, seed, index, delta, next_draw",
+    [
+        # fast path: rho is an index metric
+        (EUCLID, K_PAIR, Euclidean(), 0.1, 0, {1}, 0.05, 0.6758287159496347),
+        # fast path: Euclidean rho under the full coordinate family
+        (COORDS, K_PAIR, Euclidean(), 0.1, 0, {1, 2}, 0.035355339059327376,
+         0.6758287159496347),
+        # general path on vectors
+        (EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, 2, {1}, 0.025,
+         0.15930584948911575),
+        # general path on labels: the alphabet is enumerated, nothing is drawn
+        (max_close([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
+         0.4, 0, {1}, 0.2, 0.8444218515250481),
+        # the first ball radius, 1.0, equals the distance between two labels:
+        # balls are open, so only z is a hit and that radius validates
+        (max_close([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
+         1.0, 0, {1}, 0.5, 0.8444218515250481),
+    ],
+)
+def test_modulus_and_rng_stream_are_pinned(family, K, rho, eps, seed, index, delta,
+                                           next_draw):
+    rng = random.Random(seed)
+    mod = uniform_modulus(family, K, rho, eps, rng=rng)
+    assert mod.index == frozenset(index)
+    assert mod.delta == delta
+    assert rng.random() == next_draw
+
+
+def test_candidates_and_post_validation_failure_are_pinned():
+    assert _candidates_near((0.5, -1.0), 0.01, 0.3, random.Random(3), 3, None) == [
+        (0.500884584505919, -0.9979215992280761),
+        (0.23931731554388785, -0.9932506183580708),
+        (0.49468661922093393, -1.0178418954865314),
+    ]
+    # a modulus that ignores the second coordinate fails at the first such y
+    rng = random.Random(0)
+    wrong = Modulus(frozenset({1}), 0.05)
+    with pytest.raises(ModulusValidationError) as exc:
+        _post_validate(COORDS, sorted(K_PAIR), Euclidean(), 0.1, wrong, rng, 2000, None)
+    assert str(exc.value) == (
+        f"modulus {wrong} failed post-validation at z=(0.0, 0.0), "
+        "y=(-0.047532931274792856, -0.09834363696053627)"
+    )
+    assert rng.random() == 0.05729901434552842
+
+
+def test_modulus_failure_and_rng_stream_are_pinned():
+    rng = random.Random(4)
+    with pytest.raises(ModulusValidationError) as exc:
+        uniform_modulus(max_close([Coordinate(1)]), K_PAIR, Euclidean(), 0.1, rng=rng)
+    assert str(exc.value) == (
+        "no radius down to 4.5474735088646414e-14 validated around (0.0, 0.0); "
+        "rho is not controlled by the family there"
+    )
+    assert rng.random() == 0.0007246860484697581
+
+
 # --- transfer check ----------------------------------------------------------
 
 
@@ -153,6 +219,22 @@ def test_transfer_euclid_vs_coordinates(eps):
             x, COORDS, EUCLID, COORDS.full_index(), eps, sampler, 25, rng=rng
         )
         assert swapped.passed and not swapped.violations
+
+
+def test_transfer_report_and_rng_stream_are_pinned():
+    rng = random.Random(7)
+    x = random_step_function(rng, 3, lambda r: box_value(r))
+    report = t1_transfer_check(
+        x, COORDS, EUCLID, COORDS.full_index(), 0.05,
+        conditioned_perturbation_sampler(x), 10, rng=rng,
+    )
+    assert report.to_json_obj() == {
+        "modulus": {"delta": 0.0125, "index": [1]},
+        "pass": True,
+        "trials": 10,
+        "violations": [],
+    }
+    assert rng.random() == 0.5097794002618546
 
 
 def test_transfer_report_json_shape():
