@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .distance import (
 )
 from .pseudometric import Discrete, Euclidean, family_from_config
 from .suites import SUITES, run_example_k, run_suites
+from .topology import MAX_EPS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,13 +132,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _modulus_eps(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    if not 0 < value <= MAX_EPS:
+        raise argparse.ArgumentTypeError(f"must lie in (0, {MAX_EPS}], got {text}")
     return value
 
 
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("name", choices=[*SUITES, "all"])
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--trials", type=_positive_int, default=None)
-    p_suite.add_argument("--eps", type=_positive_float, default=None)
+    p_suite.add_argument("--eps", type=_modulus_eps, default=None)
     p_suite.add_argument("--out")
     p_suite.set_defaults(func=cmd_suite)
 

@@ -131,10 +131,6 @@ class TauKNeighborhood:
         return f"{span} \\ (K minus {{{self.center}}})"
 
 
-def contains(nbhd: TauKNeighborhood, p) -> bool:
-    return nbhd.contains(p)
-
-
 @dataclass(frozen=True)
 class TailSequence:
     """Sequence with an eventually-exact closed form.

@@ -20,18 +20,18 @@ may match either neighbouring piece, subject to the ordering of the collapsed
 run.  Closed feasibility at eps coincides with strict feasibility at every
 eps' > eps, so the decided predicate is exactly "infimum <= eps".
 
-Feasibility is monotone in eps and can change truth value only where a value
-constraint or a window/order/endpoint constraint activates; all such
-thresholds lie in the finite candidate set of ``candidate_thresholds``, so the
-distance is its smallest feasible element.  ``skorohod_distance`` finds that
+The decision is exact: times are dyadic rationals, which the DP holds as
+scaled integers.  Over float eps, feasibility is monotone and switches only
+at a piece distance or at the least float at or above a time threshold
+|a_i - b_j|, a_i or 1 - a_i.  These form the finite set of
+``candidate_thresholds``, and the distance is its smallest feasible element:
+the least float at or above the infimum.  ``skorohod_distance`` finds that
 element without building the whole set: the value checks at t = 0 and t = 1
 bound it from below, a galloping search from there brackets it, and only the
-candidates inside the bracket that can bind are binary-searched (so where two
-thresholds lie within the feasibility tolerance of each other, the returned
-one can be the larger, by less than 2 * FEAS_TOL).  Each probe runs the
-feasibility DP on the band of piece pairs that can meet within eps, so its
-cost follows the band around the answer rather than all m * p pairs.  Plain
-bisection is kept (``bisect_distance``) as a cross-check, and
+candidates inside the bracket that can bind are binary-searched.  Each probe
+runs the feasibility DP on the band of piece pairs that can meet within eps,
+so its cost follows the band around the answer rather than all m * p pairs.
+Plain bisection is kept (``bisect_distance``) as a cross-check, and
 ``oracle_distance`` recomputes everything by brute force over weak orderings,
 independent of the dynamic program.
 
@@ -50,7 +50,6 @@ from itertools import combinations_with_replacement
 
 from .cadlag import StepFunction, compose_time_change, require_same_space
 
-FEAS_TOL = 1e-12
 CERT_TOL = 1e-9
 
 
@@ -145,8 +144,9 @@ class TimeChange:
 class DistanceResult:
     """Distance value with a witnessing time change.
 
-    ``time_sup`` and ``value_sup`` are recomputed from the certificate; the
-    certificate witnesses the infimum only up to ``CERT_TOL``, so
+    ``value`` is the least float at or above the infimum.  ``time_sup`` and
+    ``value_sup`` are recomputed from the certificate; the certificate
+    witnesses the infimum only up to ``CERT_TOL``, so
     ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
 
@@ -188,17 +188,29 @@ def uniform_distance(x: StepFunction, y: StepFunction, d) -> float:
 # Every state entered carries the value constraint of its piece pair --
 # including zero-width dwells, which is exactly the closed-relaxation rule.
 #
+# Times are jump times scaled by the least power of two S that makes them all
+# integers, and eps enters as e = floor(min(eps, 1) * S).  For integers t and
+# a, t <= a + eps * S iff t <= a + e, and t >= a - eps * S iff t >= a - e, so
+# every time comparison is exact.  From eps = 1 on every window holds.
+#
 # Only a band of states can lie on a path to (m, p).  Write x-piece i as
 # [s_i, s_{i+1}) and y-piece j as [r_j, r_{j+1}), with s_0 = r_0 = 0 and
 # s_{m+1} = r_{p+1} = 1.  The entry time of (i, j) is at least r_j and at least
-# s_i - eps - tol.  Leaving column j < p needs an entry time of at most
-# r_{j+1} + tol, and leaving row i < m needs x-jump s_{i+1} placed by
-# s_{i+1} + eps + tol.  So a state with r_{j+1} < s_i - eps - 2 tol or
-# r_j > s_{i+1} + eps + 2 tol never reaches (m, p), and every state it can
-# enter is of the same kind.  Leaving such states out changes no other entry
-# time and no step of the path back from (m, p).  Row i therefore spans the
-# y-pieces found by bisecting r at s_i - eps - 2 tol and s_{i+1} + eps + 2 tol,
-# about (m + p)(1 + eps * jump density) states in all.
+# s_i - eps.  Leaving column j < p needs an entry time of at most r_{j+1}, and
+# leaving row i < m needs x-jump s_{i+1} placed by s_{i+1} + eps.  So a state
+# with r_{j+1} < s_i - eps or r_j > s_{i+1} + eps never reaches (m, p), and
+# every state it can enter is of the same kind.  Leaving such states out
+# changes no other entry time and no step of the path back from (m, p).  Row i
+# therefore spans the y-pieces found by bisecting r at s_i - eps and
+# s_{i+1} + eps, about (m + p)(1 + eps * jump density) states in all.
+
+
+def _up_gap(s: float, t: float) -> float:
+    """The least float at or above the real |s - t|, for s, t >= 0: the
+    rounded difference, raised by one ulp if its Fast2Sum error is positive."""
+    hi, lo = (s, t) if s >= t else (t, s)
+    gap = hi - lo
+    return math.nextafter(gap, math.inf) if (gap - hi) + lo < 0.0 else gap
 
 
 class _BandedDP:
@@ -209,16 +221,27 @@ class _BandedDP:
     some probe's band reaches.
     """
 
-    __slots__ = ("xv", "yv", "d", "a", "b", "edges", "tol", "dist", "dist_lo")
+    __slots__ = ("xv", "yv", "d", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
 
-    def __init__(self, x: StepFunction, y: StepFunction, d, tol: float = FEAS_TOL):
+    def __init__(self, x: StepFunction, y: StepFunction, d):
         self.xv, self.yv, self.d = x.values, y.values, d
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
-        self.edges = (0.0, *self.a, 1.0)  # x-piece i is [edges[i], edges[i + 1])
-        self.tol = tol
+        ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
+        one = max([den for _, den in ratios], default=1)
+        scaled = [num * (one // den) for num, den in ratios]
+        m, self.one = len(self.a), one
+        # x-piece i is [edges[i], edges[i + 1]); bs are the scaled y-jumps
+        self.edges, self.bs = (0, *scaled[:m], one), scaled[m:]
         # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
         self.dist = [[] for _ in self.xv]
         self.dist_lo = [0] * len(self.xv)
+
+    def scaled(self, eps):
+        """floor(min(eps, 1) * S), the eps of a time comparison."""
+        if eps >= 1.0:
+            return self.one
+        num, den = eps.as_integer_ratio()
+        return num * self.one // den
 
     def distances(self, i, lo, hi):
         """[d(x-piece i, y-piece j) for j = lo..hi]."""
@@ -235,14 +258,14 @@ class _BandedDP:
                 row.extend([d(xi, yv[j]) for j in range(end, hi + 1)])
         return row[lo - start : hi - start + 1]
 
-    def band(self, eps, start=0):
+    def band(self, e, start=0):
         """(i, lo, hi) for rows i = start..m: row i spans y-pieces lo..hi at
-        eps."""
-        b, edges, margin = self.b, self.edges, eps + 2.0 * self.tol
+        the scaled eps ``e``."""
+        bs, edges = self.bs, self.edges
         lo = hi = 0
         for i in range(start, len(edges) - 1):
-            lo = bisect_left(b, edges[i] - margin, lo)
-            hi = bisect_right(b, edges[i + 1] + margin, hi)
+            lo = bisect_left(bs, edges[i] - e, lo)
+            hi = bisect_right(bs, edges[i + 1] + e, hi)
             yield i, lo, hi
 
     def largest_distance(self):
@@ -253,20 +276,20 @@ class _BandedDP:
     def probe(self, eps):
         """Rows (lo, times, moves) of the table at eps, or None if (m, p)
         cannot be entered.  Slot k of a row is state (i, lo - 1 + k); slot 0
-        stands for the state left of the band and is always None."""
-        b, tol, edges, distances = self.b, self.tol, self.edges, self.distances
-        limit = eps + tol
+        stands for the state left of the band and is always None.  Times are
+        scaled integers."""
+        bs, edges, distances = self.bs, self.edges, self.distances
+        e = self.scaled(eps)
         rows = []
         above, above_lo = [None], 0
-        for i, lo, hi in self.band(eps):
+        for i, lo, hi in self.band(e):
             # entry times of (i - 1, lo - 1) and of (i - 1, j) for j = lo..hi
             k = lo - above_lo
             tdiag = above[k] if k < len(above) else None
             up = above[k + 1 : hi - above_lo + 2]
             up += [None] * (hi - lo + 1 - len(up))
             aa = edges[i]
-            low = aa - eps
-            cap = min(aa + eps, 1.0) + tol
+            low, cap = aa - e, aa + e
             times = [None]
             moves = [None]
             left = None
@@ -274,18 +297,17 @@ class _BandedDP:
             # jumps give clean certificates (x vs x yields the identity)
             for j, dv, tup in zip(range(lo, hi + 1), distances(i, lo, hi), up):
                 best = move = None
-                if dv <= limit:
+                if dv <= eps:
                     if j:
-                        bb = b[j - 1]
-                        pin = bb + tol
-                        if tdiag is not None and tdiag <= pin and abs(bb - aa) <= limit:
+                        bb = bs[j - 1]
+                        if tdiag is not None and tdiag <= bb and abs(bb - aa) <= e:
                             best, move = bb, "xy"
-                        if best is None and left is not None and left <= pin:
+                        if best is None and left is not None and left <= bb:
                             best, move = bb, "y"
                     elif not i:
-                        best = 0.0  # the start state (0, 0)
+                        best = 0  # the start state (0, 0)
                     if tup is not None and tup <= cap:
-                        u = min(max(tup, low, 0.0), 1.0)
+                        u = max(tup, low)
                         if best is None or u < best:
                             best, move = u, "x"
                 times.append(best)
@@ -299,8 +321,9 @@ class _BandedDP:
 
     def events(self, rows):
         """Path events of a feasible probe in forward order:
-        ("x"|"y"|"xy", time, warped x-jump)."""
-        a, b = self.a, self.b
+        ["x"|"y"|"xy", time, warped x-jump], with float times.  Rounding the
+        nondecreasing scaled times keeps them nondecreasing."""
+        a, b, one = self.a, self.b, self.one
         out = []
         i, j = len(a), len(b)
         while i or j:
@@ -308,7 +331,7 @@ class _BandedDP:
             k = j - lo + 1
             move = moves[k]
             if move == "x":
-                out.append(["x", times[k], a[i - 1]])
+                out.append(["x", times[k] / one, a[i - 1]])
                 i -= 1
             elif move == "y":
                 out.append(["y", b[j - 1], None])
@@ -318,12 +341,6 @@ class _BandedDP:
                 i -= 1
                 j -= 1
         out.reverse()
-        # Comparison tolerance lets a placement overshoot the next pinned
-        # y-jump by roundoff; snap such times down onto the pin so the event
-        # sequence is exactly nondecreasing (pins themselves never move).
-        for k in range(len(out) - 2, -1, -1):
-            if out[k][1] > out[k + 1][1]:
-                out[k][1] = out[k + 1][1]
         return out
 
     def thresholds(self, lo, top):
@@ -332,44 +349,39 @@ class _BandedDP:
         eps = v.  Outside the band the state is never on a path to (m, p), so
         its value check cannot switch feasibility."""
         out = {0.0} if lo <= 0.0 else set()
-        band = self.band
-        for i, jlo, jhi in band(top):
+        band, scaled, reach = self.band, self.scaled, self.scaled(top)
+        for i, jlo, jhi in band(reach):
             for j, v in enumerate(self.distances(i, jlo, jhi), jlo):
                 if lo <= v <= top:
-                    _, vlo, vhi = next(band(v, i))
+                    _, vlo, vhi = next(band(scaled(v), i))
                     if vlo <= j <= vhi:
                         out.add(v)
-        b, reach = self.b, top + self.tol
-        for ai in self.a:
-            for v in (ai, 1.0 - ai):
+        b, bs = self.b, self.bs
+        for ai, aa in zip(self.a, self.edges[1:]):
+            for v in (ai, _up_gap(1.0, ai)):
                 if lo <= v <= top:
                     out.add(v)
-            for bj in b[bisect_left(b, ai - reach) : bisect_right(b, ai + reach)]:
-                v = abs(ai - bj)
-                if lo <= v <= top:
+            for bj in b[bisect_left(bs, aa - reach) : bisect_right(bs, aa + reach)]:
+                v = _up_gap(ai, bj)
+                if lo <= v:
                     out.add(v)
         return sorted(out)
 
     def least_feasible(self):
         """Smallest feasible candidate threshold and the rows of its probe.
 
-        Every eps below L - 2 tol, L = max(d(x(0), y(0)), d(x(1), y(1))),
-        fails the value check of state (0, 0) or (m, p).  Probe L, gallop
-        upward by doubling steps until a probe succeeds at some hi, then
-        binary-search the candidates in [last failure, hi + 2 tol]: the
-        predicate switches within 2 tol below a candidate, so the least
-        feasible candidate that can bind lies in that range.  From eps = 1 on
-        every window is open and only piece distances can bind, so the gallop
-        jumps from there to the largest piece distance, which is feasible.
-
-        A piece distance whose state lies outside the band is skipped even
-        when it sits within FEAS_TOL below the binding threshold and would
-        pass the tolerant probe, so the result can exceed the smallest
-        feasible element of ``candidate_thresholds`` by less than 2 tol.
+        Every eps below L = max(d(x(0), y(0)), d(x(1), y(1))) fails the value
+        check of state (0, 0) or (m, p).  Probe L, gallop upward by doubling
+        steps until a probe succeeds at some hi, then binary-search the
+        candidates in [last failure, hi].  From eps = 1 on every window is
+        open and only piece distances can bind, so the gallop jumps from there
+        to the largest piece distance, which is feasible.
         """
-        m, p, tol = len(self.a), len(self.b), self.tol
-        lower = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
-        lo, hi, step = lower - 2.0 * tol, lower, 1.0 / (m + p + 2)
+        m, p = len(self.a), len(self.b)
+        lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
+        if not hi < math.inf:
+            raise ValueError(f"value metric gave a non-finite distance ({hi})")
+        step = 1.0 / (m + p + 2)
         at_hi = self.probe(hi)
         while at_hi is None:
             lo = hi
@@ -384,7 +396,7 @@ class _BandedDP:
         def probe(eps):
             return at_hi if eps == hi else self.probe(eps)
 
-        cands = self.thresholds(lo, hi + 2.0 * tol)
+        cands = self.thresholds(lo, hi)
         k, top, rows = 0, len(cands) - 1, None
         while k < top:
             mid = (k + top) // 2
@@ -400,69 +412,37 @@ class _BandedDP:
         return cands[top], rows
 
 
-def _strictify(events, cert_tol=CERT_TOL, merge_tol=1e-11):
-    """Make event times strictly increasing inside (0, 1).
+def _strictify(events):
+    """Make the knot times strictly increasing inside (0, 1), keeping the
+    event order.
 
-    Times within ``merge_tol`` of each other (comparison-tolerance drift of
-    window bounds around a pinned y-jump) are first merged onto a canonical
-    time -- the pin's when present.  Runs of equal times are then spread by
-    less than half the smallest gap (and less than cert_tol): movable
-    placements left of a pinned y-jump shift left, the ones after it shift
-    right, ties at the endpoints move inward.  This realises the dwell
-    structure of the closed solution with a strict time change, so the value
-    supremum is unchanged.
+    A forward pass lifts each movable time to the next float above the knot
+    before it, a backward pass lowers it to the next float below the knot
+    after it, and neither moves it across a pinned y-jump.  A movable time
+    may so land on the y-jump next to it in the event order: the x-jump then
+    coincides with that y-jump, which meets a subset of the piece pairs of
+    the closed solution.  The value supremum is unchanged, and times move by
+    a few floats, far less than CERT_TOL.
     """
-    if not events:
-        return
-    idx = 0
-    while idx < len(events):
-        end = idx
-        while end + 1 < len(events) and events[end + 1][1] - events[end][1] <= merge_tol:
-            end += 1
-        if end > idx:
-            pins = [k for k in range(idx, end + 1) if events[k][0] != "x"]
-            if len(pins) > 1:
-                raise RuntimeError(
-                    "internal: two y-jumps closer than the merge tolerance"
-                )
-            canon = events[pins[0]][1] if pins else events[idx][1]
-            for k in range(idx, end + 1):
-                events[k][1] = canon
-        idx = end + 1
-    marks = sorted({0.0, 1.0, *(e[1] for e in events)})
-    min_gap = min(t1 - t0 for t0, t1 in zip(marks, marks[1:]))
-    base = min(cert_tol, min_gap) / 2.0
-    idx = 0
-    while idx < len(events):
-        end = idx
-        while end + 1 < len(events) and events[end + 1][1] == events[idx][1]:
-            end += 1
-        size = end - idx + 1
-        tstar = events[idx][1]
-        h = base / (size + 1)
-        pinned = [k for k in range(idx, end + 1) if events[k][0] != "x"]
-        if tstar == 0.0:
-            for off, k in enumerate(range(idx, end + 1), start=1):
-                events[k][1] = off * h
-        elif tstar == 1.0:
-            for off, k in enumerate(range(idx, end + 1), start=1):
-                events[k][1] = 1.0 - (size - off + 1) * h
-        elif pinned:
-            q = pinned[0]
-            for k in range(idx, q):
-                events[k][1] = tstar - (q - k) * h
-            for k in range(q + 1, end + 1):
-                events[k][1] = tstar + (k - q) * h
-        elif size > 1:
-            center = (size - 1) / 2.0
-            for rel, k in enumerate(range(idx, end + 1)):
-                events[k][1] = tstar + (rel - center) * h
-        idx = end + 1
-    prev = 0.0
-    for _, t, _ in events:
-        if not prev < t < 1.0:
-            raise RuntimeError("internal: event times not strictly inside (0, 1)")
-        prev = t
+    bound = math.nextafter(0.0, 1.0)
+    for event in events:
+        kind, t, _ = event
+        if kind == "x":
+            t = event[1] = max(t, bound)
+        bound = max(bound, t) if kind == "y" else math.nextafter(t, 2.0)
+    bound = math.nextafter(1.0, 0.0)
+    for event in reversed(events):
+        kind, t, _ = event
+        if kind == "x":
+            t = event[1] = min(t, bound)
+        bound = min(bound, t) if kind == "y" else math.nextafter(t, -1.0)
+    last = last_knot = 0.0
+    for kind, t, _ in events:
+        if t < last or kind != "y" and not last_knot < t < 1.0:
+            raise RuntimeError("internal: event order has no float time change")
+        last = t
+        if kind != "y":
+            last_knot = t
 
 
 def _certificate_from_events(events) -> TimeChange:
@@ -474,23 +454,20 @@ def _certificate_from_events(events) -> TimeChange:
     return TimeChange(tuple(knots))
 
 
-def _dmat(x: StepFunction, y: StepFunction, d):
-    return [[d(xv, yv) for yv in y.values] for xv in x.values]
-
-
-def feasible(x: StepFunction, y: StepFunction, eps: float, d, tol: float = FEAS_TOL):
+def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     """Decide "Skorohod distance <= eps" (closed relaxation), with witness.
 
     Returns ``(True, lam)`` where ``lam`` is a strict time change realising
-    time deviation <= eps + CERT_TOL and value supremum <= eps + tol, or
+    time deviation <= eps + CERT_TOL and value supremum <= eps, or
     ``(False, None)``.  Feasibility is monotone in eps, and closed feasibility
     at eps equals strict feasibility at every eps' > eps, so the predicate is
-    exactly "infimum <= eps".
+    exactly "infimum <= eps", decided without tolerance: the distance is the
+    least float eps at which it holds.
     """
     require_same_space(x.values[0], y.values[0])
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    dp = _BandedDP(x, y, d, tol)
+    dp = _BandedDP(x, y, d)
     rows = dp.probe(eps)
     if rows is None:
         return False, None
@@ -500,14 +477,15 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d, tol: float = FEAS_
 
 
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
-    """Finite set containing every eps at which feasibility can change.
+    """Finite set containing every float eps at which feasibility can change.
 
     Value constraints activate at the pairwise piece distances; window, order
-    and endpoint constraints activate at |a_i - b_j|, a_i and 1 - a_i.  In
-    between these points the feasibility predicate is constant, so the
-    distance is the smallest feasible element of this set.  This is the full
-    O(mp) reference set; ``skorohod_distance`` searches only the part of it
-    inside a bracket around the answer.
+    and endpoint constraints activate at |a_i - b_j|, a_i and 1 - a_i, which
+    enter as the least floats at or above them.  Between consecutive elements
+    the feasibility predicate is constant on floats, so the distance is the
+    smallest feasible element of this set.  This is the full O(mp) reference
+    set; ``skorohod_distance`` searches only the part of it inside a bracket
+    around the answer.
     """
     a, b = x.interior_jumps(), y.interior_jumps()
     out = {0.0}
@@ -516,9 +494,9 @@ def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
             out.add(d(xv, yv))
     for ai in a:
         out.add(ai)
-        out.add(1.0 - ai)
+        out.add(_up_gap(1.0, ai))
         for bj in b:
-            out.add(abs(ai - bj))
+            out.add(_up_gap(ai, bj))
     return sorted(out)
 
 
@@ -599,17 +577,29 @@ def check_certificate(
 # open span between consecutive y-jumps, pinned at a y-jump, or pinned at 1),
 # assignments are nondecreasing, and a run of pieces collapsed onto a y-jump
 # additionally chooses where it splits between the left and right neighbouring
-# y-pieces.  Per ordering the minimal feasible eps is found by bisection over
+# y-pieces.  Per ordering the least feasible eps is found by bisection over
 # the ordering's window/order constraints plus its per-cell value constraints.
 # None of this shares code with the dynamic program above.
+#
+# The window and pin checks are exact in their own fixed point: every float is
+# an integer multiple of 2**-1074, so times and eps scaled by 2**1074 are
+# integers.  Bisection runs down to adjacent floats, so the distance is the
+# least float eps at which some ordering is feasible.
 
 _PIN, _OPEN = 0, 1
+_FIXED_BITS = 1074
+
+
+def _fixed(t: float) -> int:
+    """t * 2**1074 as an exact integer."""
+    num, den = t.as_integer_ratio()
+    return num << (_FIXED_BITS + 1 - den.bit_length())
 
 
 class OracleInstance:
     """Reusable brute-force reference for one (x, y, d) instance."""
 
-    def __init__(self, x: StepFunction, y: StepFunction, d, tol: float = FEAS_TOL):
+    def __init__(self, x: StepFunction, y: StepFunction, d):
         require_same_space(x.values[0], y.values[0])
         a, b = x.interior_jumps(), y.interior_jumps()
         if len(a) + len(b) > 10:
@@ -617,8 +607,7 @@ class OracleInstance:
                 f"{len(a)} + {len(b)} interior jumps exceeds the oracle bound of 10"
             )
         self.a, self.b = a, b
-        self.tol = tol
-        self.dmat = _dmat(x, y, d)
+        self.dmat = [[d(xv, yv) for yv in y.values] for xv in x.values]
         self.zones = self._build_zones(b)
         self.assignments = self._build_assignments()
         self.assignments.sort(key=lambda asg: asg[0])
@@ -681,63 +670,71 @@ class OracleInstance:
         return max(vfixed, vruns)
 
     def _build_assignments(self):
+        """(lower, plan) per zone assignment.  ``lower`` is the value need
+        joined with the pin distances rounded to nearest, so it never exceeds
+        the least float eps at which the plan is feasible; ``plan`` holds the
+        fixed-point times."""
         a, zones = self.a, self.zones
+        fixed_a = [_fixed(t) for t in a]
+        fixed_zones = [(kind, _fixed(lo), _fixed(hi)) for kind, lo, hi, _, _ in zones]
         m = len(a)
         out = []
         for combo in combinations_with_replacement(range(len(zones)), m):
             pin_need = 0.0
             plan = []
             for i, z in enumerate(combo):
-                kind, lo, hi, _, _ = zones[z]
+                kind, lo, _, _, _ = zones[z]
                 if kind == _PIN:
                     pin_need = max(pin_need, abs(a[i] - lo))
-                plan.append((kind, lo, hi, a[i]))
+                plan.append((*fixed_zones[z], fixed_a[i]))
             vmin = self._piece_costs(combo)
             lower = max(vmin, pin_need)
             out.append((lower, tuple(plan)))
         return out
 
-    def _windows_sat(self, plan, eps):
-        tol = self.tol
-        prev = 0.0
+    @staticmethod
+    def _windows_sat(plan, e):
+        """Window and pin checks of one plan at the fixed-point eps ``e``."""
+        prev = 0
         for kind, lo, hi, aa in plan:
             if kind == _PIN:
-                if abs(aa - lo) > eps + tol or lo < prev - tol:
+                if abs(aa - lo) > e or lo < prev:
                     return False
-                if lo > prev:
-                    prev = lo
+                prev = lo
             else:
-                u = max(prev, aa - eps, lo)
-                if u > min(aa + eps, hi) + tol:
+                u = max(prev, aa - e, lo)
+                if u > min(aa + e, hi):
                     return False
                 prev = u
         return True
 
     def feasible_at(self, eps: float) -> bool:
-        tol = self.tol
+        e = _fixed(eps)
         for lower, plan in self.assignments:
-            if lower > eps + tol:
+            if lower > eps:
                 return False  # assignments are sorted by their lower bound
-            if self._windows_sat(plan, eps):
+            if self._windows_sat(plan, e):
                 return True
         return False
 
     def _min_eps(self, lower, plan):
-        if self._windows_sat(plan, lower):
+        """The least float eps >= lower at which the plan's windows hold:
+        bisection until the bracket is two adjacent floats."""
+        sat = self._windows_sat
+        if sat(plan, _fixed(lower)):
             return lower
-        lo, hi = lower, max(lower, 1.0) + 1.0
-        if not self._windows_sat(plan, hi):
-            return float("inf")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self._windows_sat(plan, mid):
+        lo, hi = lower, max(lower, 1.0)  # every window holds from eps = 1
+        if not sat(plan, _fixed(hi)):
+            return math.inf
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if sat(plan, _fixed(mid)):
                 hi = mid
             else:
                 lo = mid
         return hi
 
     def distance(self) -> float:
-        best = float("inf")
+        best = math.inf
         for lower, plan in self.assignments:
             if lower >= best:
                 break  # sorted by lower bound: nothing better remains

@@ -321,15 +321,6 @@ class PseudometricFamily:
         return {"generators": [g.to_config() for g in self.generators]}
 
 
-def max_close(generators) -> PseudometricFamily:
-    """Family whose index set is all nonempty subsets of the generators,
-    each index evaluating to the maximum of its members."""
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("max_close needs at least one generator")
-    return PseudometricFamily(gens)
-
-
 def family_from_config(obj: dict) -> PseudometricFamily:
     """Parse ``{"space": {...}, "generators": [...]}``; "space" is optional
     metadata and is not interpreted."""
@@ -338,15 +329,15 @@ def family_from_config(obj: dict) -> PseudometricFamily:
     gens = obj["generators"]
     if not isinstance(gens, list) or not gens:
         raise ValueError("family config needs at least one generator")
-    return max_close(metric_from_config(g) for g in gens)
+    return PseudometricFamily(tuple(metric_from_config(g) for g in gens))
 
 
 def coordinate_family(dim: int) -> PseudometricFamily:
     """Max-closure of the d coordinate pseudometrics on R^d."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return max_close(Coordinate(k) for k in range(1, dim + 1))
+    return PseudometricFamily(tuple(Coordinate(k) for k in range(1, dim + 1)))
 
 
 def euclidean_family() -> PseudometricFamily:
-    return max_close([Euclidean()])
+    return PseudometricFamily((Euclidean(),))

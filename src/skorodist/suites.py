@@ -7,6 +7,7 @@ the same runners with their pinned parameters.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 from .cadlag import compose_time_change
@@ -270,17 +271,16 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0, trials: int | None = None, eps: float | None = None):
-    """Run the named suites with a shared seed; returns the summary dict."""
+    """Run the named suites with a shared seed; returns the summary dict.
+
+    Each runner gets ``seed``, and ``trials`` and ``eps`` when given, if its
+    signature has a parameter of that name."""
+    given = {"seed": seed, "trials": trials, "eps": eps}
     results = []
     for name in names:
         runner = SUITES[name]
-        kwargs = {}
-        if name in ("axioms", "oracle", "certificates", "transfer", "pushforward"):
-            kwargs["seed"] = seed
-        if trials is not None and name in ("axioms", "oracle", "certificates", "transfer"):
-            kwargs["trials"] = trials
-        if eps is not None and name == "transfer":
-            kwargs["eps"] = eps
+        params = inspect.signature(runner).parameters
+        kwargs = {k: v for k, v in given.items() if v is not None and k in params}
         results.append(runner(**kwargs))
     return {
         "seed": seed,

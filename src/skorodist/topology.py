@@ -39,11 +39,18 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .cadlag import StepFunction, make_step
 from .distance import skorohod_distance
 from .pseudometric import Coordinate, Euclidean, PseudometricFamily, PulledBack
+
+
+# The largest eps that uniform_modulus accepts.  Its sampling radii reach
+# delta + 2 * eps <= 2.5 * eps and the widths drawn over are twice that, so
+# below float max / 8 every radius and width stays finite.
+MAX_EPS = sys.float_info.max / 8
 
 
 class ModulusValidationError(RuntimeError):
@@ -129,16 +136,18 @@ def uniform_modulus(
     """Find (index, delta) with: z in K and family_index(z, y) < delta imply
     rho(z, y) < eps.
 
-    K must be a nonempty finite value set (ranges of step functions are).
-    Raises :class:`ModulusValidationError` when no radius validates, which is
-    the observable signature of rho not being continuous for the family's
-    topology (e.g. a family missing a coordinate that rho sees).
+    K must be a nonempty finite value set (ranges of step functions are),
+    and eps must lie in (0, ``MAX_EPS``], so that every sampling radius is
+    finite.  Raises :class:`ModulusValidationError` when no radius
+    validates, which is the observable signature of rho not being continuous
+    for the family's topology (e.g. a family missing a coordinate that rho
+    sees).
     """
     points = sorted(K, key=repr)
     if not points:
         raise ValueError("K must be nonempty")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps <= MAX_EPS:
+        raise ValueError(f"eps must lie in (0, {MAX_EPS}], got {eps}")
     rng = rng if rng is not None else random.Random(0)
     if alphabet is None and isinstance(points[0], str):
         # candidate pool for label spaces; balls are then computed exactly

@@ -16,7 +16,6 @@ from skorodist.cli import main as cli_main
 from skorodist.counterexample import (
     EXCLUDE_ALL,
     TauKNeighborhood,
-    contains,
     converges,
     f_example,
     f_left_limit,
@@ -212,12 +211,12 @@ def test_criterion_7_counterexample_exact():
     assert report.passed
     assert converges(reciprocal_tail(1), 0, "tauk") is False
     witness = TauKNeighborhood(0, None, EXCLUDE_ALL)
-    assert contains(witness, f_example(0))
+    assert witness.contains(f_example(0))
     assert all(
-        not contains(witness, f_left_limit(Fraction(1, n))) for n in range(1, 101)
+        not witness.contains(f_left_limit(Fraction(1, n))) for n in range(1, 101)
     )
     for n, nbhd in enumerate(k_isolation_witness(50), start=1):
-        hits = [m for m in range(1, 101) if contains(nbhd, Fraction(1, m))]
+        hits = [m for m in range(1, 101) if nbhd.contains(Fraction(1, m))]
         assert hits == [n]
     print("\n[acceptance] criterion 7 (counterexample, exact arithmetic): PASS")
 

@@ -161,6 +161,7 @@ def test_console_script_entry_point(traces):
         ("--eps", "-0.1"),
         ("--eps", "nan"),
         ("--eps", "inf"),
+        ("--eps", "1e308"),
         ("--eps", "x"),
         ("--trials", "0"),
         ("--trials", "-3"),

@@ -8,7 +8,6 @@ from skorodist.counterexample import (
     EXCLUDE_ALL_BUT_CENTER,
     TauKNeighborhood,
     constant_tail,
-    contains,
     converges,
     f_example,
     f_left_limit,
@@ -68,13 +67,13 @@ def test_results_are_fractions():
 
 def test_neighbourhood_membership():
     nbhd = TauKNeighborhood(0, Fraction(1, 2), EXCLUDE_ALL)
-    assert not contains(nbhd, Fraction(1, 4))  # 1/4 is a deleted point of K
-    assert contains(nbhd, Fraction(-1, 4))  # negative reals are never in K
-    assert contains(nbhd, 0)
-    assert not contains(nbhd, Fraction(3, 4))  # outside the radius
+    assert not nbhd.contains(Fraction(1, 4))  # 1/4 is a deleted point of K
+    assert nbhd.contains(Fraction(-1, 4))  # negative reals are never in K
+    assert nbhd.contains(0)
+    assert not nbhd.contains(Fraction(3, 4))  # outside the radius
     whole = TauKNeighborhood(0, None, EXCLUDE_ALL)
-    assert contains(whole, 100)
-    assert not contains(whole, Fraction(1, 100))
+    assert whole.contains(100)
+    assert not whole.contains(Fraction(1, 100))
 
 
 def test_neighbourhood_validation():
@@ -127,11 +126,11 @@ def test_isolation_witness():
     n2 = witnesses[1]
     assert n2.center == Fraction(1, 2)
     assert n2.excluded == EXCLUDE_ALL_BUT_CENTER
-    assert contains(n2, Fraction(1, 2))
-    assert not contains(n2, Fraction(1, 3))
+    assert n2.contains(Fraction(1, 2))
+    assert not n2.contains(Fraction(1, 3))
     # each element holds exactly one K-point; the family covers the truncation
     for n, nbhd in enumerate(witnesses, start=1):
-        hits = [m for m in range(1, 7) if contains(nbhd, Fraction(1, m))]
+        hits = [m for m in range(1, 7) if nbhd.contains(Fraction(1, m))]
         assert hits == [n]
     with pytest.raises(ValueError):
         k_isolation_witness(1)
@@ -160,6 +159,6 @@ def test_report_passes():
 def test_discontinuity_witness_directly():
     # the deleted neighbourhood of 0 contains f(0) but no left limit at K
     deleted = TauKNeighborhood(0, None, EXCLUDE_ALL)
-    assert contains(deleted, f_example(0))
+    assert deleted.contains(f_example(0))
     for n in range(1, 101):
-        assert not contains(deleted, f_left_limit(Fraction(1, n)))
+        assert not deleted.contains(f_left_limit(Fraction(1, n)))

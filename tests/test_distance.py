@@ -1,4 +1,7 @@
+import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import (
-    FEAS_TOL,
     CertificateError,
     _BandedDP,
     OracleInstance,
@@ -17,6 +19,7 @@ from skorodist.distance import (
     check_certificate,
     feasible,
     oracle_distance,
+    result_from_json,
     skorohod_distance,
     uniform_distance,
 )
@@ -127,7 +130,7 @@ class _FullTable(_BandedDP):
 
     __slots__ = ()
 
-    def band(self, eps):
+    def band(self, e):
         for i in range(len(self.xv)):
             yield i, 0, len(self.b)
 
@@ -187,28 +190,62 @@ def test_distance_equal_jump_different_heights():
     assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
 
 
-def test_distance_can_sit_within_tolerance_below_endpoint_bound():
-    # L = |0.5 - 0.3| = 0.2 at t = 0, but the candidate 1 - 0.8 =
-    # 0.19999999999999996 already passes the value check within FEAS_TOL.
+def test_distance_is_endpoint_bound_above_window_candidate():
+    # L = |0.5 - 0.3| = 0.2 at t = 0 binds.  The window candidate 1 - 0.8 =
+    # 0.19999999999999996 lies just below it and fails the value check at
+    # t = 0 exactly.
     x = make_step([0.0, 0.8], [0.5, 0.3])
     y = make_step([0.0], [0.3])
-    assert skorohod_distance(x, y, ABS).value == 1.0 - 0.8
+    assert 1.0 - 0.8 in candidate_thresholds(x, y, ABS)
+    assert not feasible(x, y, 1.0 - 0.8, ABS)[0]
+    assert skorohod_distance(x, y, ABS).value == 0.5 - 0.3
+    assert oracle_distance(x, y, ABS) == 0.5 - 0.3
 
 
 def test_out_of_band_value_candidate_is_skipped():
-    # |0.4 - 0.1| = 0.30000000000000004 binds.  The candidate 0.3 passes the
-    # tolerant probe too, but it is only the distance of pieces 0.35 apart in
-    # time: their state lies in the band at the gallop's bracket top 0.5 but
-    # not at eps = 0.3, so the search skips it and returns the binding
-    # threshold.
+    # |0.4 - 0.1| = 0.30000000000000004 binds; it is also the least float
+    # above the real gap.  The candidate 0.3 is only the distance of pieces
+    # 0.35 apart in time: their state lies in the band at the gallop's
+    # bracket top 0.5 but not at eps = 0.3, so the search skips it.
     x = make_step([0.0, 0.1, 0.75], [0.0, 1.0, 0.3])
     y = make_step([0.0, 0.4, 0.75], [0.0, 1.0, 0.3])
     res = skorohod_distance(x, y, ABS)
     assert res.value == 0.4 - 0.1
     assert 0.3 in candidate_thresholds(x, y, ABS)
-    assert feasible(x, y, 0.3, ABS)[0]
-    assert res.value - 0.3 < 2 * FEAS_TOL
-    assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
+    assert 0.3 not in _BandedDP(x, y, ABS).thresholds(0.0, 0.5)
+    assert not feasible(x, y, 0.3, ABS)[0]
+    assert oracle_distance(x, y, ABS) == res.value
+
+
+X_JUMP_AT_TINY = make_step([0.0, 1e-13], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "x, y, want",
+    [
+        # constants 1e-14 apart: the distance is positive
+        (ZERO, make_step([0.0], [1e-14]), 1e-14),
+        # one jump shifted by 1e-13: the least float above the real gap
+        (IND_05, make_step([0.0, 0.5 + 1e-13], [0.0, 1.0]), 1.000310945187266e-13),
+        # indicator pair 0.5 / 0.6 with heights 1e-13: the heights bind
+        (
+            make_step([0.0, 0.5], [0.0, 1e-13]),
+            make_step([0.0, 0.6], [0.0, 1e-13]),
+            1e-13,
+        ),
+        # x(0) = 0 against y = 1: lam(0) = 0 forces the full gap
+        (X_JUMP_AT_TINY, ONE, 1.0),
+        # y-jumps 5e-12 apart
+        (IND_05, make_step([0.0, 0.5, 0.5 + 5e-12], [0.0, 1.0, 2.0]), 1.0),
+    ],
+    ids=["constants", "shifted_jump", "small_heights", "fixed_start", "close_y_jumps"],
+)
+def test_tiny_scales_are_exact(x, y, want):
+    res = skorohod_distance(x, y, ABS)
+    assert res.value == want == oracle_distance(x, y, ABS)
+    assert not feasible(x, y, math.nextafter(want, 0.0), ABS)[0]
+    claimed, cert = result_from_json(json.dumps(res.to_json_obj()))
+    assert check_certificate(x, y, ABS, claimed, cert)[0]
 
 
 def test_distance_constants():
@@ -398,18 +435,25 @@ def instances(draw):
     return x, y, d
 
 
+def _round_up(q):
+    """The least float at or above the rational q."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
 def _can_bind(x, y, d):
     """candidate_thresholds without the piece distances v of pieces lying
-    more than v + 2 FEAS_TOL apart in time, written from the piece intervals
-    [s_i, s_{i+1}) and [r_j, r_{j+1})."""
-    s, r = (*x.times, 1.0), (*y.times, 1.0)
-    a, b = x.interior_jumps(), y.interior_jumps()
-    out = {0.0, *a, *(1.0 - t for t in a), *(abs(t - u) for t in a for u in b)}
+    more than v apart in time, written from the piece intervals
+    [s_i, s_{i+1}) and [r_j, r_{j+1}) in exact rationals."""
+    s = [Fraction(t) for t in (*x.times, 1.0)]
+    r = [Fraction(t) for t in (*y.times, 1.0)]
+    a, b = s[1:-1], r[1:-1]
+    out = {0.0, *x.interior_jumps(), *(_round_up(1 - t) for t in a)}
+    out.update(_round_up(abs(t - u)) for t in a for u in b)
     for i, xv in enumerate(x.values):
         for j, yv in enumerate(y.values):
             v = d(xv, yv)
-            margin = v + 2 * FEAS_TOL
-            if r[j + 1] >= s[i] - margin and r[j] <= s[i + 1] + margin:
+            if r[j + 1] >= s[i] - Fraction(v) and r[j] <= s[i + 1] + Fraction(v):
                 out.add(v)
     return sorted(out)
 
@@ -432,9 +476,68 @@ def test_distance_is_least_feasible_candidate(inst, data):
     cands = candidate_thresholds(x, y, d)
     least = _least_feasible(x, y, d, cands)
     assert res.value in cands
-    assert least <= res.value < least + 2 * FEAS_TOL
+    assert res.value == least
     other = data.draw(st.sampled_from(cands))
     assert feasible(x, y, other, d)[0] == (other >= least)
     assert res.value == _least_feasible(x, y, d, _can_bind(x, y, d))
     ok, bound = check_certificate(x, y, d, res.value, res.certificate)
+    assert ok, bound
+
+
+# --- property: exact on adversarial inputs ---------------------------------
+
+NEAR = 1e-12  # clustered jumps lie within this of each other, or of 0 or 1
+TINY = 1e-15  # and at least this far apart, so a float time change fits
+
+
+@st.composite
+def adversarial_times(draw, max_jumps=4):
+    """0 then up to max_jumps off-grid jumps, clustered within NEAR of each
+    other, of 0 or of 1."""
+    offset = st.floats(TINY, NEAR)
+    raw = []
+    for _ in range(draw(st.integers(0, max_jumps))):
+        where = draw(st.sampled_from(("off", "zero", "one")))
+        if where == "zero":
+            t = draw(offset)
+        elif where == "one":
+            t = 1.0 - draw(offset)
+        else:
+            t = draw(st.floats(NEAR, 1.0 - NEAR))
+        raw.append(t)
+        if draw(st.booleans()):
+            raw.append(t + draw(offset))
+    times = [0.0]
+    for t in sorted(raw):
+        if times[-1] + TINY <= t <= 1.0 - TINY and len(times) <= max_jumps:
+            times.append(t)
+    return times
+
+
+@st.composite
+def adversarial_instances(draw):
+    tx, ty = draw(adversarial_times()), draw(adversarial_times())
+    scale = 10.0 ** draw(st.integers(-14, 14))
+    value = st.sampled_from(LEVELS).map(lambda v: scale * v)
+    x = make_step(tx, [draw(value) for _ in tx])
+    y = make_step(ty, [draw(value) for _ in ty])
+    return x, y
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=adversarial_instances())
+def test_distance_is_exact_on_adversarial_inputs(inst):
+    x, y = inst
+    res = skorohod_distance(x, y, ABS)
+    value, oracle = res.value, oracle_distance(x, y, ABS)
+    assert feasible(x, y, value, ABS)[0]
+    assert value == 0.0 or not feasible(x, y, math.nextafter(value, 0.0), ABS)[0]
+    assert oracle <= value <= oracle + math.ulp(oracle)
+    ok, bound = check_certificate(x, y, ABS, value, res.certificate)
     assert ok, bound

@@ -11,12 +11,12 @@ from skorodist.pseudometric import (
     Discrete,
     Euclidean,
     MaxOf,
+    PseudometricFamily,
     PulledBack,
     Scaled,
     check_axioms,
     coordinate_family,
     family_from_config,
-    max_close,
     metric_from_config,
 )
 
@@ -45,7 +45,7 @@ def test_evaluate_space_mismatch():
 
 
 def test_max_close_indices():
-    fam = max_close([Coordinate(1)])
+    fam = PseudometricFamily([Coordinate(1)])
     assert fam.indices() == [frozenset({1})]
     fam2 = coordinate_family(2)
     assert fam2.indices() == [frozenset({1}), frozenset({2}), frozenset({1, 2})]
@@ -117,9 +117,9 @@ def test_separates_points():
     fam = coordinate_family(2)
     assert fam.separates_points((0.0, 0.0), (0.0, 1.0)) == frozenset({2})
     assert fam.separates_points((1.0, 0.0), (0.0, 0.0)) == frozenset({1})
-    degenerate = max_close([Coordinate(1)])
+    degenerate = PseudometricFamily([Coordinate(1)])
     assert degenerate.separates_points((0.0, 0.0), (0.0, 1.0)) is None
-    assert max_close([Euclidean()]).separates_points((0.0, 0.0), (0.0, 1.0)) == frozenset({1})
+    assert PseudometricFamily([Euclidean()]).separates_points((0.0, 0.0), (0.0, 1.0)) == frozenset({1})
 
 
 def test_family_config_round_trip():
@@ -152,7 +152,7 @@ def test_invalid_configs():
     with pytest.raises(ValueError):
         metric_from_config({"kind": "nope"})
     with pytest.raises(ValueError):
-        max_close([])
+        PseudometricFamily([])
 
 
 def test_invalid_index():

@@ -17,11 +17,11 @@ from skorodist.pseudometric import (
     Coordinate,
     Discrete,
     Euclidean,
+    PseudometricFamily,
     PulledBack,
     Scaled,
     coordinate_family,
     euclidean_family,
-    max_close,
 )
 from skorodist.sampling import (
     box_value,
@@ -31,6 +31,7 @@ from skorodist.sampling import (
     shifted_sequence,
 )
 from skorodist.topology import (
+    MAX_EPS,
     Modulus,
     ModulusValidationError,
     _candidates_near,
@@ -98,7 +99,7 @@ def test_modulus_soundness_sampled():
 
 
 def test_modulus_degenerate_family_fails():
-    degenerate = max_close([Coordinate(1)])
+    degenerate = PseudometricFamily([Coordinate(1)])
     with pytest.raises(ModulusValidationError):
         uniform_modulus(degenerate, K_PAIR, Euclidean(), 0.1, rng=random.Random(4))
 
@@ -108,12 +109,19 @@ def test_modulus_rejects_bad_inputs():
         uniform_modulus(EUCLID, set(), Euclidean(), 0.1)
     with pytest.raises(ValueError):
         uniform_modulus(EUCLID, K_PAIR, Euclidean(), 0.0)
+    # above MAX_EPS a sampling radius would overflow: rejected before any draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        uniform_modulus(EUCLID, K_PAIR, Euclidean(), math.nextafter(MAX_EPS, math.inf), rng=rng)
+    assert rng.getstate() == state
+    assert uniform_modulus(EUCLID, K_PAIR, Euclidean(), MAX_EPS, rng=rng).delta == MAX_EPS / 2
 
 
 def test_modulus_on_label_space():
     from skorodist.pseudometric import Discrete, Scaled
 
-    fam = max_close([Discrete()])
+    fam = PseudometricFamily([Discrete()])
     labels = {"idle", "busy", "halt"}
     # identity case
     mod = uniform_modulus(fam, labels, Discrete(), 0.4, rng=random.Random(0))
@@ -138,11 +146,11 @@ def test_modulus_on_label_space():
         (EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, 2, {1}, 0.025,
          0.15930584948911575),
         # general path on labels: the alphabet is enumerated, nothing is drawn
-        (max_close([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
+        (PseudometricFamily([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
          0.4, 0, {1}, 0.2, 0.8444218515250481),
         # the first ball radius, 1.0, equals the distance between two labels:
         # balls are open, so only z is a hit and that radius validates
-        (max_close([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
+        (PseudometricFamily([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
          1.0, 0, {1}, 0.5, 0.8444218515250481),
     ],
 )
@@ -176,7 +184,7 @@ def test_candidates_and_post_validation_failure_are_pinned():
 def test_modulus_failure_and_rng_stream_are_pinned():
     rng = random.Random(4)
     with pytest.raises(ModulusValidationError) as exc:
-        uniform_modulus(max_close([Coordinate(1)]), K_PAIR, Euclidean(), 0.1, rng=rng)
+        uniform_modulus(PseudometricFamily([Coordinate(1)]), K_PAIR, Euclidean(), 0.1, rng=rng)
     assert str(exc.value) == (
         "no radius down to 4.5474735088646414e-14 validated around (0.0, 0.0); "
         "rho is not controlled by the family there"
@@ -257,7 +265,7 @@ def test_transfer_degenerate_fine_family_signals():
         t1_transfer_check(
             x,
             EUCLID,
-            max_close([Coordinate(1)]),
+            PseudometricFamily([Coordinate(1)]),
             frozenset({1}),
             0.2,
             conditioned_perturbation_sampler(x),
