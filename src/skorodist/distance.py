@@ -31,6 +31,11 @@ bound it from below, a galloping search from there brackets it, and only the
 candidates inside the bracket that can bind are binary-searched.  Each probe
 runs the feasibility DP on the band of piece pairs that can meet within eps,
 so its cost follows the band around the answer rather than all m * p pairs.
+The piece distances of a solve come from one ``Pseudometric.table``: when a
+probe's band reaches past the distances known so far, a row grows at either
+end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
+and ``MaxOf`` check once per solve rather than once per pair.  A plain
+callable metric is evaluated pair by pair.
 Plain bisection is kept (``bisect_distance``) as a cross-check, and
 ``oracle_distance`` recomputes everything by brute force over weak orderings,
 independent of the dynamic program.
@@ -49,6 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .cadlag import StepFunction, compose_time_change, require_same_space
+from .pseudometric import Pseudometric, _pairwise_table
 
 CERT_TOL = 1e-9
 
@@ -218,13 +224,20 @@ class _BandedDP:
 
     Each probe fills the banded earliest-entry-time table at its eps.  The
     piece distances are evaluated lazily, once per solve, for the states that
-    some probe's band reaches.
+    some probe's band reaches: each row of them grows at either end through
+    one ``Pseudometric.table`` of the solve (a pairwise loop for a plain
+    callable d).
     """
 
-    __slots__ = ("xv", "yv", "d", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
+    __slots__ = ("xv", "dist_rows", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
-        self.xv, self.yv, self.d = x.values, y.values, d
+        self.xv, yv = x.values, y.values
+        self.dist_rows = (
+            d.table(self.xv, yv)
+            if isinstance(d, Pseudometric)
+            else _pairwise_table(d, self.xv, yv)
+        )
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
         ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
         one = max([den for _, den in ratios], default=1)
@@ -249,21 +262,19 @@ class _BandedDP:
         if not row:
             start = self.dist_lo[i] = lo
         end = start + len(row)
-        if lo < start or hi >= end:
-            d, xi, yv = self.d, self.xv[i], self.yv
-            if lo < start:
-                row[:0] = [d(xi, yv[j]) for j in range(lo, start)]
-                start = self.dist_lo[i] = lo
-            if hi >= end:
-                row.extend([d(xi, yv[j]) for j in range(end, hi + 1)])
+        if lo < start:
+            row[:0] = self.dist_rows(i, lo, start)
+            start = self.dist_lo[i] = lo
+        if hi >= end:
+            row.extend(self.dist_rows(i, end, hi + 1))
         return row[lo - start : hi - start + 1]
 
-    def band(self, e, start=0):
-        """(i, lo, hi) for rows i = start..m: row i spans y-pieces lo..hi at
-        the scaled eps ``e``."""
+    def band(self, e):
+        """(i, lo, hi) for rows i = 0..m: row i spans y-pieces lo..hi at the
+        scaled eps ``e``."""
         bs, edges = self.bs, self.edges
         lo = hi = 0
-        for i in range(start, len(edges) - 1):
+        for i in range(len(edges) - 1):
             lo = bisect_left(bs, edges[i] - e, lo)
             hi = bisect_right(bs, edges[i + 1] + e, hi)
             yield i, lo, hi
@@ -349,22 +360,33 @@ class _BandedDP:
         eps = v.  Outside the band the state is never on a path to (m, p), so
         its value check cannot switch feasibility."""
         out = {0.0} if lo <= 0.0 else set()
-        band, scaled, reach = self.band, self.scaled, self.scaled(top)
-        for i, jlo, jhi in band(reach):
+        b, bs, edges, scaled = self.b, self.bs, self.edges, self.scaled
+        p, reach = len(b), scaled(top)
+        for i, jlo, jhi in self.band(reach):
+            s_lo, s_hi = edges[i], edges[i + 1]
             for j, v in enumerate(self.distances(i, jlo, jhi), jlo):
-                if lo <= v <= top:
-                    _, vlo, vhi = next(band(scaled(v), i))
-                    if vlo <= j <= vhi:
+                if lo <= v <= top and v not in out:
+                    # band() bisects r at s_i - v and s_{i+1} + v: j lies
+                    # in row i iff r_{j+1} >= s_i - v and r_j <= s_{i+1} + v
+                    e = scaled(v)
+                    if (j == p or bs[j] >= s_lo - e) and (
+                        not j or bs[j - 1] <= s_hi + e
+                    ):
                         out.add(v)
-        b, bs = self.b, self.bs
-        for ai, aa in zip(self.a, self.edges[1:]):
+        # The window gap g = |a_i - b_j| enters as the least float at or above
+        # it, which is at most top iff g * S <= reach and at least lo iff g
+        # exceeds the float below lo, that is iff g * S > below.
+        below = scaled(math.nextafter(lo, -1.0)) if lo > 0.0 else -1
+        for ai, aa in zip(self.a, edges[1:]):
             for v in (ai, _up_gap(1.0, ai)):
                 if lo <= v <= top:
                     out.add(v)
-            for bj in b[bisect_left(bs, aa - reach) : bisect_right(bs, aa + reach)]:
-                v = _up_gap(ai, bj)
-                if lo <= v:
-                    out.add(v)
+            left = bisect_left(bs, aa - below)
+            right = max(left, bisect_right(bs, aa + below))
+            for bj in b[bisect_left(bs, aa - reach) : left]:
+                out.add(_up_gap(ai, bj))
+            for bj in b[right : bisect_right(bs, aa + reach)]:
+                out.add(_up_gap(ai, bj))
         return sorted(out)
 
     def least_feasible(self):
@@ -373,9 +395,10 @@ class _BandedDP:
         Every eps below L = max(d(x(0), y(0)), d(x(1), y(1))) fails the value
         check of state (0, 0) or (m, p).  Probe L, gallop upward by doubling
         steps until a probe succeeds at some hi, then binary-search the
-        candidates in [last failure, hi].  From eps = 1 on every window is
-        open and only piece distances can bind, so the gallop jumps from there
-        to the largest piece distance, which is feasible.
+        candidates in [L, hi], or in (last failure, hi] once a probe has
+        failed.  From eps = 1 on every window is open and only piece distances
+        can bind, so the gallop jumps from there to the largest piece
+        distance, which is feasible.
         """
         m, p = len(self.a), len(self.b)
         lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
@@ -384,12 +407,12 @@ class _BandedDP:
         step = 1.0 / (m + p + 2)
         at_hi = self.probe(hi)
         while at_hi is None:
-            lo = hi
+            lo = math.nextafter(hi, math.inf)  # hi failed
             if hi < 1.0:
                 hi, step = hi + step, 2.0 * step
             else:
                 hi = self.largest_distance()
-            if not lo < hi < math.inf:
+            if not lo <= hi < math.inf:
                 raise ValueError(f"value metric gave a non-finite distance ({hi})")
             at_hi = self.probe(hi)
 

@@ -32,23 +32,40 @@ from .maps import map_from_config
 class Pseudometric:
     """Base class; concrete kinds are frozen dataclasses implementing __call__.
 
-    ``row(a, bs)`` evaluates one point against a sequence of others, ``[self(a,
-    b) for b in bs]``.  ``Coordinate``, ``Euclidean`` and ``MaxOf`` override
-    it to check the value space of the whole batch in one pass and to compute
-    the values without a Python call per pair; their results are
-    bit-identical to ``__call__``, and a batch with a bad value raises the
-    error that the first bad pair raises.  The uniform-modulus sampler
-    evaluates its candidate balls this way.
+    ``table(xs, ys)`` evaluates many pairs at once: it returns ``rows`` with
+    ``rows(i, lo, hi) == [self(xs[i], y) for y in ys[lo:hi]]``.  By default
+    that is one call per pair.  ``Coordinate``, ``Euclidean`` and ``MaxOf``
+    override it to check the value space of all of ``xs`` and ``ys`` once and
+    to compute the values without a Python call per pair; their results are
+    bit-identical to ``__call__``.  Where the check fails they fall back to
+    the pairwise loop, so a bad value raises the error of the first bad pair
+    that a row reaches.  A distance solve builds one table per solve and
+    fills its piece distances row by row through it; ``row(a, bs)`` is the
+    one-row case, with which the uniform-modulus sampler evaluates its
+    candidate balls.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
         raise NotImplementedError
 
+    def table(self, xs, ys):
+        return _pairwise_table(self, xs, ys)
+
     def row(self, a: Value, bs) -> list[float]:
-        return [self(a, b) for b in bs]
+        return self.table((a,), bs)(0, 0, len(bs))
 
     def to_config(self) -> dict:
         raise NotImplementedError
+
+
+def _pairwise_table(d, xs, ys):
+    """``table`` of any callable d: one call of d per pair."""
+
+    def rows(i, lo, hi):
+        a = xs[i]
+        return [d(a, b) for b in ys[lo:hi]]
+
+    return rows
 
 
 def _vector_pair(a: Value, b: Value):
@@ -59,17 +76,20 @@ def _vector_pair(a: Value, b: Value):
     return a, b
 
 
-def _vectors_match(a: Value, bs) -> bool:
-    """Whether ``_vector_pair`` accepts (a, b) for every b in bs, decided from
-    the batch's lengths and types without a call per pair."""
+def _common_dim(xs, ys):
+    """The one dimension of all the vectors in xs and ys, or None when they
+    have none: then ``_vector_pair`` may fail on some pair, and the pairwise
+    loop says which."""
     try:
-        return (
-            not isinstance(a, str)
-            and set(map(len, bs)) <= {len(a)}
-            and not any(issubclass(t, str) for t in set(map(type, bs)))
-        )
-    except TypeError:  # a value without a length; the pairwise loop says which
-        return False
+        dims = {*map(len, xs), *map(len, ys)}
+    except TypeError:
+        return None
+    if len(dims) != 1:
+        return None
+    for t in {*map(type, xs), *map(type, ys)}:
+        if issubclass(t, str):
+            return None
+    return dims.pop()
 
 
 @dataclass(frozen=True)
@@ -90,12 +110,17 @@ class Coordinate(Pseudometric):
             )
         return abs(a[self.k - 1] - b[self.k - 1])
 
-    def row(self, a, bs):
-        if not _vectors_match(a, bs) or self.k > len(a):
-            return super().row(a, bs)  # raises as the first bad pair does
+    def table(self, xs, ys):
+        dim = _common_dim(xs, ys)
+        if dim is None or self.k > dim:
+            return super().table(xs, ys)  # raises as the first bad pair does
         k = self.k - 1
-        ak = a[k]
-        return [abs(ak - b[k]) for b in bs]
+
+        def rows(i, lo, hi):
+            ak = xs[i][k]
+            return [abs(ak - b[k]) for b in ys[lo:hi]]
+
+        return rows
 
     def to_config(self):
         return {"kind": "coordinate", "k": self.k}
@@ -107,10 +132,14 @@ class Euclidean(Pseudometric):
         a, b = _vector_pair(a, b)
         return math.dist(a, b)
 
-    def row(self, a, bs):
-        if not _vectors_match(a, bs):
-            return super().row(a, bs)  # raises as the first bad pair does
-        return list(map(math.dist, repeat(a), bs))
+    def table(self, xs, ys):
+        if _common_dim(xs, ys) is None:
+            return super().table(xs, ys)  # raises as the first bad pair does
+
+        def rows(i, lo, hi):
+            return list(map(math.dist, repeat(xs[i]), ys[lo:hi]))
+
+        return rows
 
     def to_config(self):
         return {"kind": "euclidean"}
@@ -179,14 +208,23 @@ class MaxOf(Pseudometric):
     def __call__(self, a, b):
         return max(p(a, b) for p in self.parts)
 
-    def row(self, a, bs):
-        try:
-            rows = [p.row(a, bs) for p in self.parts]
-        except Exception:
-            # A part failed.  The pairwise loop raises the first bad pair's
-            # error, which may come from a later part on an earlier pair.
-            return super().row(a, bs)
-        return rows[0] if len(rows) == 1 else list(map(max, *rows))
+    def table(self, xs, ys):
+        first, *rest = [p.table(xs, ys) for p in self.parts]
+
+        def rows(i, lo, hi):
+            # max(max(u, v), w) picks what max(u, v, w) picks, NaN included
+            try:
+                out = first(i, lo, hi)
+                for part in rest:
+                    out = list(map(max, out, part(i, lo, hi)))
+            except Exception:
+                # A part failed.  The pairwise loop raises the first bad
+                # pair's error, which may come from a later part on an
+                # earlier pair.
+                return _pairwise_table(self, xs, ys)(i, lo, hi)
+            return out
+
+        return rows
 
     def to_config(self):
         return {"kind": "max_of", "parts": [p.to_config() for p in self.parts]}

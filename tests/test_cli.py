@@ -131,6 +131,14 @@ def test_suite_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_suite_all_output_is_pinned(capsys):
+    # The bytes of `skorodist suite all --seed 42`, recorded once; a change
+    # that keeps the distances and certificates keeps these bytes.
+    golden = Path(__file__).parent / "data" / "suite_all_seed42.json"
+    assert main(["suite", "all", "--seed", "42"]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_example_k_report(capsys):
     assert main(["example-k"]) == 0
     captured = capsys.readouterr()

@@ -11,6 +11,7 @@ from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import (
     CertificateError,
     _BandedDP,
+    _up_gap,
     OracleInstance,
     OracleTooLarge,
     TimeChange,
@@ -23,7 +24,13 @@ from skorodist.distance import (
     skorohod_distance,
     uniform_distance,
 )
-from skorodist.pseudometric import Discrete, Euclidean, Scaled, coordinate_family
+from skorodist.pseudometric import (
+    Discrete,
+    Euclidean,
+    MaxOf,
+    Scaled,
+    coordinate_family,
+)
 from skorodist.sampling import (
     GRID_20,
     random_step_function,
@@ -217,6 +224,17 @@ def test_out_of_band_value_candidate_is_skipped():
     assert oracle_distance(x, y, ABS) == res.value
 
 
+def test_value_candidate_on_the_band_edge_is_kept():
+    # Jumps at 0.25 and 0.75 scale by S = 4, and eps = 0.6 by floor(0.6 S) = 2:
+    # the piece pair at distance 0.6 sits on the edge of its row's band at
+    # 0.6, which is closed, and no other constraint gives 0.6.
+    for x, y in (
+        (make_step([0.0, 0.75], [0.0, 0.6]), make_step([0.0, 0.25], [0.0, 1.0])),
+        (make_step([0.0, 0.25], [0.6, 0.0]), make_step([0.0, 0.75], [1.0, 0.0])),
+    ):
+        assert 0.6 in _BandedDP(x, y, ABS).thresholds(0.0, 1.0)
+
+
 X_JUMP_AT_TINY = make_step([0.0, 1e-13], [0.0, 1.0])
 
 
@@ -272,6 +290,16 @@ def test_distance_far_above_one():
     assert skorohod_distance(y, ZERO, ABS).value == oracle_distance(y, ZERO, ABS) == 1e6
 
 
+def test_search_does_not_reprobe_a_failed_threshold():
+    # L = 0 fails and the gallop probe 0.25 succeeds.  Only the candidate
+    # 0.4 - 0.5 rounded up is left above 0, so one more probe settles it.
+    x = make_step([0.0, 0.4], [0.0, 1.0])
+    y = make_step([0.0, 0.5], [0.0, 1.0])
+    dp = _CountingDP(x, y, ABS)
+    assert dp.least_feasible()[0] == _up_gap(0.4, 0.5) == oracle_distance(x, y, ABS)
+    assert dp.probes == 3
+
+
 def test_distance_rejects_non_finite_metric():
     with pytest.raises(ValueError, match="non-finite"):
         skorohod_distance(IND_05, IND_06, Scaled(float("inf"), ABS))
@@ -279,6 +307,24 @@ def test_distance_rejects_non_finite_metric():
         bisect_distance(IND_05, IND_06, Scaled(float("inf"), ABS))
     with pytest.raises(ValueError, match="non-finite"):
         bisect_distance(IND_05, ZERO, lambda v, w: 0.0 if v == w else float("inf"))
+    # through the batched rows of Euclidean and MaxOf: finite values whose
+    # distance overflows, at an endpoint or inside, and a NaN from 0 * inf
+    huge = make_step([0.0, 0.3, 0.6], [0.0, 1e308, 0.0])
+    for x, y, d in (
+        (make_step([0.0], [1e308]), make_step([0.0], [-1e308]), ABS),
+        (huge, make_step([0.0], [-1e308]), ABS),
+        (huge, make_step([0.0], [-1e308]), MaxOf((ABS, Scaled(0.5, ABS)))),
+        (
+            make_step([0.0, 0.5], [[0.0, 1e308], [0.0, 0.0]]),
+            make_step([0.0], [[0.0, -1e308]]),
+            MAXC,
+        ),
+        (IND_05, IND_06, MaxOf((Scaled(float("inf"), ABS), ABS))),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            skorohod_distance(x, y, d)
+        with pytest.raises(ValueError, match="non-finite"):
+            bisect_distance(x, y, d)
 
 
 def test_oracle_identical_inputs():
@@ -482,6 +528,39 @@ def test_distance_is_least_feasible_candidate(inst, data):
     assert res.value == _least_feasible(x, y, d, _can_bind(x, y, d))
     ok, bound = check_certificate(x, y, d, res.value, res.certificate)
     assert ok, bound
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=instances(), data=st.data())
+def test_thresholds_are_the_bracketed_part_of_the_binding_set(inst, data):
+    x, y, d = inst
+    cands = _can_bind(x, y, d)
+    dp = _BandedDP(x, y, d)
+    a, b = x.interior_jumps(), y.interior_jumps()
+    gaps = [(ai, bj) for ai in a for bj in b]
+    # lo where a floor(lo * S) off by one drops or adds a window gap
+    edge = [0.0]
+    if gaps:
+        ai, bj = data.draw(st.sampled_from(gaps))
+        v = _up_gap(ai, bj)
+        edge += [abs(ai - bj), v, math.nextafter(v, 1.0)]
+    lo = data.draw(
+        st.one_of(
+            st.sampled_from(edge),
+            st.sampled_from(cands),
+            st.sampled_from(cands).map(lambda c: math.nextafter(c, -1.0)),
+            st.floats(0.0, 1.0),
+        )
+    )
+    top = data.draw(st.one_of(st.sampled_from([*cands, 1.0]), st.floats(0.0, 2.0)))
+    top = max(lo, top)
+    assert dp.thresholds(lo, top) == [c for c in cands if lo <= c <= top]
 
 
 # --- property: exact on adversarial inputs ---------------------------------

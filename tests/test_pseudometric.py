@@ -11,9 +11,11 @@ from skorodist.pseudometric import (
     Discrete,
     Euclidean,
     MaxOf,
+    Pseudometric,
     PseudometricFamily,
     PulledBack,
     Scaled,
+    _pairwise_table,
     check_axioms,
     coordinate_family,
     family_from_config,
@@ -260,3 +262,77 @@ def test_row_edge_cases():
     mixed = MaxOf((PulledBack(Project((1,)), Euclidean()), Euclidean()))
     with pytest.raises(ValueSpaceMismatch, match="dimension mismatch: 2 vs 3"):
         mixed.row((0.0, 0.0), [(1.0, 1.0, 1.0), "idle"])
+
+
+# --- many-to-many evaluation -------------------------------------------------
+
+
+def _plain(a, b):
+    """A plain callable, as the distance functions accept."""
+    return 0.5 * Euclidean()(a, b)
+
+
+def _table(d, xs, ys):
+    """The rows a distance solve evaluates d with."""
+    if isinstance(d, Pseudometric):
+        return d.table(xs, ys)
+    return _pairwise_table(d, xs, ys)
+
+
+@st.composite
+def _windows(draw, n, p):
+    """Up to 8 windows (i, lo, hi) with i < n and lo <= hi <= p."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = sorted(draw(st.tuples(st.integers(0, p), st.integers(0, p))))
+        out.append((draw(st.integers(0, n - 1)), lo, hi))
+    return out
+
+
+@_ROW_SETTINGS
+@given(
+    d=st.one_of(_metrics(_KEEP_SPACE), st.just(_plain)),
+    xs=st.lists(_vector, min_size=1, max_size=6),
+    ys=st.lists(_vector, max_size=12),
+    data=st.data(),
+)
+def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
+    rows = _table(d, xs, ys)
+    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
+        assert _bits(rows(i, lo, hi)) == _bits([d(xs[i], y) for y in ys[lo:hi]])
+
+
+@_ROW_SETTINGS
+@given(
+    d=st.one_of(_metrics([*_KEEP_SPACE, Project((1,))]), st.just(_plain)),
+    xs=st.lists(_vector, min_size=1, max_size=6),
+    ys=st.lists(_vector, max_size=10),
+    bad=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10), _BAD), min_size=1, max_size=3
+    ),
+    data=st.data(),
+)
+def test_table_fails_where_and_as_pairwise_calls_fail(d, xs, ys, bad, data):
+    for in_xs, at, value in bad:
+        values = xs if in_xs else ys
+        values.insert(min(at, len(values)), value)
+    rows = _table(d, xs, ys)
+    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
+        want = _outcome(lambda: [d(xs[i], y) for y in ys[lo:hi]])
+        assert _outcome(lambda: rows(i, lo, hi)) == want
+
+
+def test_table_edge_cases():
+    # no pair in a window, no check: as the pairwise loop
+    assert Euclidean().table(["idle"], [(0.0,)])(0, 1, 1) == []
+    assert Coordinate(3).table([(0.0, 1.0)], [])(0, 0, 0) == []
+    rows = MaxOf((Coordinate(1), Coordinate(2))).table(
+        [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)]
+    )
+    assert rows(0, 0, 3) == [5.0, 1.0, 0.5]
+    assert rows(1, 1, 3) == [2.0, 2.5]
+    # a label among the xs fails only in its own row
+    rows = Euclidean().table([(0.0,), "idle"], [(3.0,), (4.0,)])
+    assert rows(0, 0, 2) == [3.0, 4.0]
+    with pytest.raises(ValueSpaceMismatch, match="label"):
+        rows(1, 1, 2)
