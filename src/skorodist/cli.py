@@ -6,8 +6,8 @@ without trusting the distance computation), ``suite`` (named verification
 suites), and ``example-k`` (the K-topology demonstration report).
 
 All I/O is JSON; output is byte-identical for identical inputs and seed.
-Exit codes: 0 success, 1 check/suite failure, 2 parse error, 3 value-space
-mismatch, 4 invalid certificate.
+Exit codes: 0 success, 1 check/suite failure, 2 parse error or rejected input
+(a non-finite distance), 3 value-space mismatch, 4 invalid certificate.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 from .cadlag import TraceParseError, ValueSpaceMismatch, step_from_json
 from .distance import (
     CertificateError,
+    NonFiniteDistance,
     check_certificate,
     result_from_json,
     skorohod_distance,
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except TraceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    except NonFiniteDistance as exc:
+        sys.stderr.write(f"input rejected: {exc}\n")
         return EXIT_PARSE
     except ValueSpaceMismatch as exc:
         sys.stderr.write(f"value-space mismatch: {exc}\n")

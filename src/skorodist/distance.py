@@ -29,8 +29,8 @@ the least float at or above the infimum.  ``skorohod_distance`` finds that
 element without building the whole set: the value checks at t = 0 and t = 1
 bound it from below, a galloping search from there brackets it, and only the
 candidates inside the bracket that can bind are binary-searched.  Each probe
-runs the feasibility DP on the band of piece pairs that can meet within eps,
-so its cost follows the band around the answer rather than all m * p pairs.
+decides reachability, one integer bitset per row, on the band of piece pairs
+that can meet within eps, so its cost follows the band around the answer.
 The piece distances of a solve come from one ``Pseudometric.table``: when a
 probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
@@ -49,18 +49,24 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 
 from .cadlag import StepFunction, compose_time_change, require_same_space
 from .pseudometric import Pseudometric, _pairwise_table
 
 CERT_TOL = 1e-9
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class CertificateError(ValueError):
     """Malformed time-change certificate (bad endpoints or non-monotone knots)."""
+
+
+class NonFiniteDistance(ValueError):
+    """The value metric gave an infinite or NaN piece distance."""
 
 
 class OracleTooLarge(ValueError):
@@ -185,30 +191,38 @@ def uniform_distance(x: StepFunction, y: StepFunction, d) -> float:
 # Feasibility dynamic program
 # ---------------------------------------------------------------------------
 #
-# States (i, j) mean "x-piece i currently dwells against y-piece j"; the DP
-# stores the earliest time at which the state can be entered.  Transitions:
+# States (i, j) mean "x-piece i currently dwells against y-piece j".  Moves:
 # place the next warped x-jump inside its window (advance i), advance y past
-# its next jump at that fixed time (advance j), or both simultaneously when
-# the window admits the y-jump time (the diagonal, which is what lets a jump
-# of x land exactly on a jump of y without matching the corner pieces).
-# Every state entered carries the value constraint of its piece pair --
-# including zero-width dwells, which is exactly the closed-relaxation rule.
+# its next jump at that fixed time (advance j), or both at once when the
+# window admits the y-jump time (the diagonal, which lets a jump of x land
+# exactly on a jump of y without matching the corner pieces).  Every state
+# entered carries the value constraint of its piece pair, zero-width dwells
+# included: that is the closed-relaxation rule.
 #
-# Times are jump times scaled by the least power of two S that makes them all
-# integers, and eps enters as e = floor(min(eps, 1) * S).  For integers t and
-# a, t <= a + eps * S iff t <= a + e, and t >= a - eps * S iff t >= a - e, so
-# every time comparison is exact.  From eps = 1 on every window holds.
+# Times are scaled by the least power of two S that makes every jump time an
+# integer, and eps enters as e = floor(min(eps, 1) * S): for integers t and a,
+# t <= a + eps * S iff t <= a + e and t >= a - eps * S iff t >= a - e.  Write
+# x-piece i as [s_i, s_{i+1}) and y-piece j as [r_j, r_{j+1}), scaled, with
+# s_0 = r_0 = 0.  Lemma: a reachable state is entered at max(r_j, s_i - e),
+# as y- and xy-moves enter at r_j and an x-move at the later of s_i - e and,
+# by induction, max(r_j, s_{i-1} - e).  So a move into (i, j) holds by (i, j)
+# and eps alone: y iff s_i - e <= r_j, x iff r_j <= s_i + e, xy iff
+# |r_j - s_i| <= e, each with d(x_i, y_j) <= eps.  A probe therefore decides
+# reachability of (m, p) with one integer R_i per row, bit j set iff (i, j) is
+# reachable: the bit-vector technique of Allison & Dix (1986), Myers (1999)
+# and Hyyro (2004).  With V, X and Y the j where the value, x and y conditions
+# hold, S = (R_{i-1} | (R_{i-1} << 1) & Y) & X & V are the states entered from
+# row i - 1, and the y-moves carry each along its run of M = V & Y | S:
+# R_i = M & ((S + M ^ M) | S).  The path back from (m, p) takes the first
+# reachable predecessor in the order xy, y, x, which keeps aligned jumps on
+# the diagonal (x against x gives the identity).
 #
-# Only a band of states can lie on a path to (m, p).  Write x-piece i as
-# [s_i, s_{i+1}) and y-piece j as [r_j, r_{j+1}), with s_0 = r_0 = 0 and
-# s_{m+1} = r_{p+1} = 1.  The entry time of (i, j) is at least r_j and at least
-# s_i - eps.  Leaving column j < p needs an entry time of at most r_{j+1}, and
-# leaving row i < m needs x-jump s_{i+1} placed by s_{i+1} + eps.  So a state
-# with r_{j+1} < s_i - eps or r_j > s_{i+1} + eps never reaches (m, p), and
-# every state it can enter is of the same kind.  Leaving such states out
-# changes no other entry time and no step of the path back from (m, p).  Row i
-# therefore spans the y-pieces found by bisecting r at s_i - eps and
-# s_{i+1} + eps, about (m + p)(1 + eps * jump density) states in all.
+# A state with r_{j+1} < s_i - eps or r_j > s_{i+1} + eps never reaches
+# (m, p): it is entered at r_j or later and at s_i - eps or later, column j is
+# left by r_{j+1} and row i by s_{i+1} + eps, and every state it enters is of
+# the same kind.  So row i spans only the y-pieces lo..hi found by bisecting r
+# at s_i - e and s_{i+1} + e, about (m + p)(1 + eps * jump density) states in
+# all, and the same bisects give Y = {j >= lo + 1}, X = {j <= hi of row i - 1}.
 
 
 def _up_gap(s: float, t: float) -> float:
@@ -222,11 +236,11 @@ def _up_gap(s: float, t: float) -> float:
 class _BandedDP:
     """Feasibility probes at any eps for one (x, y, d).
 
-    Each probe fills the banded earliest-entry-time table at its eps.  The
-    piece distances are evaluated lazily, once per solve, for the states that
-    some probe's band reaches: each row of them grows at either end through
-    one ``Pseudometric.table`` of the solve (a pairwise loop for a plain
-    callable d).
+    Each probe computes the reachable states of the band at its eps, one
+    bitset per row.  The piece distances are evaluated lazily, once per
+    solve, for the states that some probe's band reaches: each row of them
+    grows at either end through one ``Pseudometric.table`` of the solve (a
+    pairwise loop for a plain callable d).
     """
 
     __slots__ = ("xv", "dist_rows", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
@@ -269,6 +283,15 @@ class _BandedDP:
             row.extend(self.dist_rows(i, end, hi + 1))
         return row[lo - start : hi - start + 1]
 
+    def matches(self, i, lo, hi, eps):
+        """Bitset of the j = lo..hi with d(x-piece i, y-piece j) <= eps."""
+        dists = self.distances(i, lo, hi)[::-1]
+        try:
+            flags = bytes(map(operator.le, dists, repeat(eps)))
+        except TypeError:  # a comparison that gives no bool, e.g. numpy's
+            flags = bytes(map(bool, map(operator.le, dists, repeat(eps))))
+        return int(flags.translate(_BINARY_DIGITS), 2) << lo
+
     def band(self, e):
         """(i, lo, hi) for rows i = 0..m: row i spans y-pieces lo..hi at the
         scaled eps ``e``."""
@@ -285,72 +308,44 @@ class _BandedDP:
         return max(max(self.distances(i, 0, p)) for i in range(len(self.xv)))
 
     def probe(self, eps):
-        """Rows (lo, times, moves) of the table at eps, or None if (m, p)
-        cannot be entered.  Slot k of a row is state (i, lo - 1 + k); slot 0
-        stands for the state left of the band and is always None.  Times are
-        scaled integers."""
-        bs, edges, distances = self.bs, self.edges, self.distances
+        """(e, rows) at eps, or None if (m, p) cannot be reached: e is the
+        scaled eps, and bit j of rows[i] says that state (i, j) is
+        reachable."""
         e = self.scaled(eps)
         rows = []
-        above, above_lo = [None], 0
+        reach, above_hi = 1, 0  # a virtual state above the start state (0, 0)
         for i, lo, hi in self.band(e):
-            # entry times of (i - 1, lo - 1) and of (i - 1, j) for j = lo..hi
-            k = lo - above_lo
-            tdiag = above[k] if k < len(above) else None
-            up = above[k + 1 : hi - above_lo + 2]
-            up += [None] * (hi - lo + 1 - len(up))
-            aa = edges[i]
-            low, cap = aa - e, aa + e
-            times = [None]
-            moves = [None]
-            left = None
-            # earliest entry time; diagonal preferred on ties so that aligned
-            # jumps give clean certificates (x vs x yields the identity)
-            for j, dv, tup in zip(range(lo, hi + 1), distances(i, lo, hi), up):
-                best = move = None
-                if dv <= eps:
-                    if j:
-                        bb = bs[j - 1]
-                        if tdiag is not None and tdiag <= bb and abs(bb - aa) <= e:
-                            best, move = bb, "xy"
-                        if best is None and left is not None and left <= bb:
-                            best, move = bb, "y"
-                    elif not i:
-                        best = 0  # the start state (0, 0)
-                    if tup is not None and tup <= cap:
-                        u = max(tup, low)
-                        if best is None or u < best:
-                            best, move = u, "x"
-                times.append(best)
-                moves.append(move)
-                left, tdiag = best, tup
-            if times.count(None) == len(times):
+            allowed = self.matches(i, lo, hi, eps)
+            xmask = (2 << above_hi) - 1  # r_j <= s_i + e
+            ymask = -2 << lo  # s_i - e <= r_j
+            seeds = (reach | (reach << 1) & ymask) & xmask & allowed
+            run = allowed & ymask | seeds
+            reach = run & ((seeds + run ^ run) | seeds)
+            if not reach:
                 return None
-            rows.append((lo, times, moves))
-            above, above_lo = times, lo
-        return rows if rows[-1][1][-1] is not None else None
+            rows.append(reach)
+            above_hi = hi
+        return (e, rows) if reach >> len(self.b) & 1 else None
 
-    def events(self, rows):
+    def events(self, probed):
         """Path events of a feasible probe in forward order:
         ["x"|"y"|"xy", time, warped x-jump], with float times.  Rounding the
         nondecreasing scaled times keeps them nondecreasing."""
-        a, b, one = self.a, self.b, self.one
+        e, rows = probed
+        a, b, bs, edges = self.a, self.b, self.bs, self.edges
         out = []
         i, j = len(a), len(b)
         while i or j:
-            lo, times, moves = rows[i]
-            k = j - lo + 1
-            move = moves[k]
-            if move == "x":
-                out.append(["x", times[k] / one, a[i - 1]])
-                i -= 1
-            elif move == "y":
+            s, r = edges[i], bs[j - 1] if j else 0
+            if i and j and rows[i - 1] >> (j - 1) & 1 and abs(r - s) <= e:
+                out.append(["xy", b[j - 1], a[i - 1]])
+                i, j = i - 1, j - 1
+            elif j and rows[i] >> (j - 1) & 1 and s - e <= r:
                 out.append(["y", b[j - 1], None])
                 j -= 1
             else:
-                out.append(["xy", b[j - 1], a[i - 1]])
+                out.append(["x", max(r, s - e) / self.one, a[i - 1]])
                 i -= 1
-                j -= 1
         out.reverse()
         return out
 
@@ -390,7 +385,7 @@ class _BandedDP:
         return sorted(out)
 
     def least_feasible(self):
-        """Smallest feasible candidate threshold and the rows of its probe.
+        """Smallest feasible candidate threshold and its probe.
 
         Every eps below L = max(d(x(0), y(0)), d(x(1), y(1))) fails the value
         check of state (0, 0) or (m, p).  Probe L, gallop upward by doubling
@@ -402,37 +397,36 @@ class _BandedDP:
         """
         m, p = len(self.a), len(self.b)
         lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
-        if not hi < math.inf:
-            raise ValueError(f"value metric gave a non-finite distance ({hi})")
         step = 1.0 / (m + p + 2)
-        at_hi = self.probe(hi)
-        while at_hi is None:
+        while True:
+            if not lo <= hi < math.inf:
+                raise NonFiniteDistance(f"value metric gave a non-finite distance ({hi})")
+            at_hi = self.probe(hi)
+            if at_hi is not None:
+                break
             lo = math.nextafter(hi, math.inf)  # hi failed
             if hi < 1.0:
                 hi, step = hi + step, 2.0 * step
             else:
                 hi = self.largest_distance()
-            if not lo <= hi < math.inf:
-                raise ValueError(f"value metric gave a non-finite distance ({hi})")
-            at_hi = self.probe(hi)
 
         def probe(eps):
             return at_hi if eps == hi else self.probe(eps)
 
         cands = self.thresholds(lo, hi)
-        k, top, rows = 0, len(cands) - 1, None
+        k, top, found = 0, len(cands) - 1, None
         while k < top:
             mid = (k + top) // 2
             probed = probe(cands[mid])
             if probed is None:
                 k = mid + 1
             else:
-                top, rows = mid, probed
-        if rows is None:
-            rows = probe(cands[top])
-            if rows is None:
+                top, found = mid, probed
+        if found is None:
+            found = probe(cands[top])
+            if found is None:
                 raise RuntimeError("internal: largest bracketed threshold infeasible")
-        return cands[top], rows
+        return cands[top], found
 
 
 def _strictify(events):
@@ -491,10 +485,10 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     dp = _BandedDP(x, y, d)
-    rows = dp.probe(eps)
-    if rows is None:
+    probed = dp.probe(eps)
+    if probed is None:
         return False, None
-    events = dp.events(rows)
+    events = dp.events(probed)
     _strictify(events)
     return True, _certificate_from_events(events)
 
@@ -534,8 +528,8 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     """
     require_same_space(x.values[0], y.values[0])
     dp = _BandedDP(x, y, d)
-    value, rows = dp.least_feasible()
-    events = dp.events(rows)
+    value, probed = dp.least_feasible()
+    events = dp.events(probed)
     _strictify(events)
     cert = _certificate_from_events(events)
     time_sup = cert.warp_deviation()
@@ -560,9 +554,9 @@ def bisect_distance(x: StepFunction, y: StepFunction, d, tol: float = 1e-12) -> 
     # piece distance keeps hi from being a finite feasible bracket top
     hi = max(1.0, dp.largest_distance())
     if not (hi < math.inf and feas(hi)):
-        raise ValueError("value metric gave a non-finite distance")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        raise NonFiniteDistance("value metric gave a non-finite distance")
+    # adjacent floats lie more than the default tol apart from about 1e4 on
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if feas(mid):
             hi = mid
         else:
@@ -583,11 +577,13 @@ def check_certificate(
     Returns ``(ok, bound)`` with ``ok`` true iff ``bound <= claimed + tol``.
     The value supremum is recomputed from scratch via composition with the
     certificate, so this audits the certificate without trusting the distance
-    computation.
+    computation.  A certificate that merges two jump times of x is invalid.
     """
-    bound = max(
-        cert.warp_deviation(), uniform_distance(compose_time_change(x, cert), y, d)
-    )
+    try:
+        warped = compose_time_change(x, cert)
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from exc
+    bound = max(cert.warp_deviation(), uniform_distance(warped, y, d))
     return bound <= claimed + tol, bound
 
 

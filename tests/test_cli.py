@@ -116,6 +116,31 @@ def test_certificate_rejects_bad_knots(traces, tmp_path):
     assert main(["certificate-check", traces["x"], traces["y"], str(res)]) == 4
 
 
+def test_certificate_that_collapses_jump_times_is_invalid(tmp_path, capsys):
+    # The knot (5e-324, 0.9) maps 0.1 and 0.2 back to the same float, so the
+    # composed x would need two jumps at one time.
+    trace = tmp_path / "x.json"
+    trace.write_text(json.dumps({"times": [0.0, 0.1, 0.2], "values": [[0.0], [1.0], [0.0]]}))
+    res = tmp_path / "res.json"
+    res.write_text(
+        json.dumps({"distance": 0.9, "certificate": {"knots": [[0, 0], [5e-324, 0.9], [1, 1]]}})
+    )
+    assert main(["certificate-check", str(trace), str(trace), str(res)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid certificate: ") and err.count("\n") == 1
+
+
+def test_distance_rejects_an_overflowing_metric(tmp_path, capsys):
+    x = tmp_path / "x.json"
+    y = tmp_path / "y.json"
+    x.write_text(json.dumps({"times": [0], "values": [[1e308]]}))
+    y.write_text(json.dumps({"times": [0], "values": [[-1e308]]}))
+    assert main(["distance", str(x), str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input rejected: value metric gave a non-finite distance (inf)\n"
+
+
 def test_suite_oracle_passes(capsys):
     assert main(["suite", "oracle", "--seed", "42", "--trials", "30"]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -133,13 +133,14 @@ def test_feasible_monotone_in_eps():
 
 
 class _FullTable(_BandedDP):
-    """The same DP over every state, with no band."""
+    """The same DP over every state, with no band: each row admits every
+    y-piece within eps in value, and only the move masks, which are the move
+    conditions, come from the band's bisects."""
 
     __slots__ = ()
 
-    def band(self, e):
-        for i in range(len(self.xv)):
-            yield i, 0, len(self.b)
+    def matches(self, i, lo, hi, eps):
+        return super().matches(i, 0, len(self.b), eps)
 
 
 def test_band_leaves_feasibility_and_path_unchanged():
@@ -288,6 +289,9 @@ def test_distance_far_above_one():
     assert dp.probes <= 5
     y = make_step([0.0, 0.3, 0.6], [0.0, 1e6, 0.0])
     assert skorohod_distance(y, ZERO, ABS).value == oracle_distance(y, ZERO, ABS) == 1e6
+    # floats near 1e6 lie further apart than the tolerance: bisection stops at
+    # adjacent floats
+    assert bisect_distance(y, ZERO, ABS) == 1e6
 
 
 def test_search_does_not_reprobe_a_failed_threshold():
@@ -325,6 +329,22 @@ def test_distance_rejects_non_finite_metric():
             skorohod_distance(x, y, d)
         with pytest.raises(ValueError, match="non-finite"):
             bisect_distance(x, y, d)
+
+
+def test_metric_whose_comparisons_give_no_bool():
+    # numpy's float64 compares to a numpy bool, which is no int
+    np = pytest.importorskip("numpy")
+
+    def d(v, w):
+        return np.float64(abs(v[0] - w[0]))
+
+    rng = random.Random(11)
+    for _ in range(10):
+        x = random_step_function(rng, 4, scalar_level_value)
+        y = random_step_function(rng, 4, scalar_level_value)
+        want = skorohod_distance(x, y, ABS)
+        got = skorohod_distance(x, y, d)
+        assert (got.value, got.certificate) == (want.value, want.certificate)
 
 
 def test_oracle_identical_inputs():
@@ -620,3 +640,137 @@ def test_distance_is_exact_on_adversarial_inputs(inst):
     assert oracle <= value <= oracle + math.ulp(oracle)
     ok, bound = check_certificate(x, y, ABS, value, res.certificate)
     assert ok, bound
+
+
+# --- property: the bitset probe is the earliest-entry-time DP --------------
+
+
+class _EntryTimeDP(_BandedDP):
+    """The banded DP in its earliest-entry-time form, the reference of the
+    bitset probe: each band state carries the time at which it is first
+    entered and the move that enters it then.  ``table`` keeps the rows of
+    the last probe, infeasible ones included."""
+
+    __slots__ = ("table",)
+
+    def probe(self, eps):
+        """Rows (lo, times, moves), or None if (m, p) cannot be entered.
+        Slot k of a row is state (i, lo - 1 + k); slot 0 stands for the state
+        left of the band and is always None.  Times are scaled integers."""
+        bs, edges, distances = self.bs, self.edges, self.distances
+        e = self.scaled(eps)
+        rows = self.table = []
+        above, above_lo = [None], 0
+        for i, lo, hi in self.band(e):
+            # entry times of (i - 1, lo - 1) and of (i - 1, j) for j = lo..hi
+            k = lo - above_lo
+            tdiag = above[k] if k < len(above) else None
+            up = above[k + 1 : hi - above_lo + 2]
+            up += [None] * (hi - lo + 1 - len(up))
+            aa = edges[i]
+            low, cap = aa - e, aa + e
+            times = [None]
+            moves = [None]
+            left = None
+            for j, dv, tup in zip(range(lo, hi + 1), distances(i, lo, hi), up):
+                best = move = None
+                if dv <= eps:
+                    if j:
+                        bb = bs[j - 1]
+                        if tdiag is not None and tdiag <= bb and abs(bb - aa) <= e:
+                            best, move = bb, "xy"
+                        if best is None and left is not None and left <= bb:
+                            best, move = bb, "y"
+                    elif not i:
+                        best = 0  # the start state (0, 0)
+                    if tup is not None and tup <= cap:
+                        u = max(tup, low)
+                        if best is None or u < best:
+                            best, move = u, "x"
+                times.append(best)
+                moves.append(move)
+                left, tdiag = best, tup
+            rows.append((lo, times, moves))
+            if times.count(None) == len(times):
+                return None
+            above, above_lo = times, lo
+        return rows if rows[-1][1][-1] is not None else None
+
+    def events(self, rows):
+        a, b, one = self.a, self.b, self.one
+        out = []
+        i, j = len(a), len(b)
+        while i or j:
+            lo, times, moves = rows[i]
+            k = j - lo + 1
+            move = moves[k]
+            if move == "x":
+                out.append(["x", times[k] / one, a[i - 1]])
+                i -= 1
+            elif move == "y":
+                out.append(["y", b[j - 1], None])
+                j -= 1
+            else:
+                out.append(["xy", b[j - 1], a[i - 1]])
+                i -= 1
+                j -= 1
+        out.reverse()
+        return out
+
+
+@st.composite
+def lemma_instances(draw):
+    """Adversarial jump times with scaled scalars, 2-D values under the
+    maximum of the coordinates, labels, or a plain callable metric."""
+    tx, ty = draw(adversarial_times(6)), draw(adversarial_times(6))
+    kind = draw(st.sampled_from(("scalar", "plane", "label", "callable")))
+    if kind == "scalar":
+        scale = 10.0 ** draw(st.integers(-14, 14))
+        value, d = st.sampled_from(LEVELS).map(lambda v: scale * v), ABS
+    elif kind == "plane":
+        level = st.sampled_from(LEVELS)
+        value, d = st.tuples(level, level), MAXC
+    elif kind == "label":
+        value, d = st.sampled_from("abc"), Discrete()
+    else:
+        value = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0))
+
+        def d(v, w):
+            return abs(v[0] - w[0]) ** 0.5
+
+    x = make_step(tx, [draw(value) for _ in tx])
+    y = make_step(ty, [draw(value) for _ in ty])
+    return x, y, d
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=lemma_instances(), data=st.data())
+def test_bitset_probe_matches_entry_time_dp(inst, data):
+    x, y, d = inst
+    dp, ref = _BandedDP(x, y, d), _EntryTimeDP(x, y, d)
+    probes = {data.draw(st.floats(0.0, 2.0))}
+    for c in candidate_thresholds(x, y, d):
+        probes.update((math.nextafter(c, -1.0), c, math.nextafter(c, 2.0)))
+    for eps in sorted(p for p in probes if p >= 0.0):
+        got, want = dp.probe(eps), ref.probe(eps)
+        assert (got is None) == (want is None)
+        e, s = dp.scaled(eps), dp.edges
+        for i, (lo, times, _) in enumerate(ref.table):
+            reached = {lo - 1 + k: t for k, t in enumerate(times) if t is not None}
+            # the lemma: every reached state is entered at max(r_j, s_i - e)
+            for j, t in reached.items():
+                assert t == max(dp.bs[j - 1] if j else 0, s[i] - e)
+            if got is not None:
+                bits = got[1][i]
+                assert {j for j in range(bits.bit_length()) if bits >> j & 1} == set(
+                    reached
+                )
+        if got is not None:
+            assert got[0] == e
+            assert dp.events(got) == ref.events(want)
