@@ -28,7 +28,8 @@ at a piece distance or at the least float at or above a time threshold
 the least float at or above the infimum.  ``skorohod_distance`` finds that
 element without building the whole set: the value checks at t = 0 and t = 1
 bound it from below, a galloping search from there brackets it, and only the
-candidates inside the bracket that can bind are binary-searched.  Each probe
+candidates inside the bracket are binary-searched: the window gaps there, and
+the piece distances of the band at the bracket's top.  Each probe
 decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
 The piece distances of a solve come from one ``Pseudometric.table``: when a
@@ -36,9 +37,10 @@ probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
 and ``MaxOf`` check once per solve rather than once per pair.  A plain
 callable metric is evaluated pair by pair.
-Plain bisection is kept (``bisect_distance``) as a cross-check, and
-``oracle_distance`` recomputes everything by brute force over weak orderings,
-independent of the dynamic program.
+Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
+cross-check that returns the same float, and ``oracle_distance`` recomputes
+everything by brute force over weak orderings, independent of the dynamic
+program.
 
 Certificates witness the value only up to ``CERT_TOL`` (the infimum may be
 unattained); they are concrete time changes whose recomputed time and value
@@ -350,24 +352,15 @@ class _BandedDP:
         return out
 
     def thresholds(self, lo, top):
-        """Sorted elements of ``candidate_thresholds`` in [lo, top] that can
-        bind: a piece distance v counts only if its state lies in the band at
-        eps = v.  Outside the band the state is never on a path to (m, p), so
-        its value check cannot switch feasibility."""
+        """Sorted elements of ``candidate_thresholds`` in [lo, top], with the
+        piece distances of the states in the band at eps = top only.  A state
+        outside that band is on no path to (m, p) at any eps <= top, so its
+        value check cannot switch feasibility in [lo, top]."""
         out = {0.0} if lo <= 0.0 else set()
         b, bs, edges, scaled = self.b, self.bs, self.edges, self.scaled
-        p, reach = len(b), scaled(top)
+        reach = scaled(top)
         for i, jlo, jhi in self.band(reach):
-            s_lo, s_hi = edges[i], edges[i + 1]
-            for j, v in enumerate(self.distances(i, jlo, jhi), jlo):
-                if lo <= v <= top and v not in out:
-                    # band() bisects r at s_i - v and s_{i+1} + v: j lies
-                    # in row i iff r_{j+1} >= s_i - v and r_j <= s_{i+1} + v
-                    e = scaled(v)
-                    if (j == p or bs[j] >= s_lo - e) and (
-                        not j or bs[j - 1] <= s_hi + e
-                    ):
-                        out.add(v)
+            out.update(v for v in self.distances(i, jlo, jhi) if lo <= v <= top)
         # The window gap g = |a_i - b_j| enters as the least float at or above
         # it, which is at most top iff g * S <= reach and at least lo iff g
         # exceeds the float below lo, that is iff g * S > below.
@@ -390,10 +383,11 @@ class _BandedDP:
         Every eps below L = max(d(x(0), y(0)), d(x(1), y(1))) fails the value
         check of state (0, 0) or (m, p).  Probe L, gallop upward by doubling
         steps until a probe succeeds at some hi, then binary-search the
-        candidates in [L, hi], or in (last failure, hi] once a probe has
-        failed.  From eps = 1 on every window is open and only piece distances
-        can bind, so the gallop jumps from there to the largest piece
-        distance, which is feasible.
+        ``thresholds`` in [L, hi], or in (last failure, hi] once a probe has
+        failed: they hold every float in the bracket where feasibility can
+        switch, so the least feasible one is the distance.  From eps = 1 on
+        every window is open and only piece distances can bind, so the gallop
+        jumps from there to the largest piece distance, which is feasible.
         """
         m, p = len(self.a), len(self.b)
         lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
@@ -429,9 +423,9 @@ class _BandedDP:
         return cands[top], found
 
 
-def _strictify(events):
-    """Make the knot times strictly increasing inside (0, 1), keeping the
-    event order.
+def _certificate(events) -> TimeChange:
+    """The time change through the x-events' knots (t, warped x-jump), after
+    making the knot times strictly increasing inside (0, 1) in event order.
 
     A forward pass lifts each movable time to the next float above the knot
     before it, a backward pass lowers it to the next float below the knot
@@ -453,18 +447,12 @@ def _strictify(events):
         if kind == "x":
             t = event[1] = min(t, bound)
         bound = min(bound, t) if kind == "y" else math.nextafter(t, -1.0)
-    last = last_knot = 0.0
-    for kind, t, _ in events:
-        if t < last or kind != "y" and not last_knot < t < 1.0:
+    knots = [(0.0, 0.0)]
+    last = 0.0
+    for kind, t, ajump in events:
+        if t < last or kind != "y" and not knots[-1][0] < t < 1.0:
             raise RuntimeError("internal: event order has no float time change")
         last = t
-        if kind != "y":
-            last_knot = t
-
-
-def _certificate_from_events(events) -> TimeChange:
-    knots = [(0.0, 0.0)]
-    for kind, t, ajump in events:
         if kind != "y":
             knots.append((t, ajump))
     knots.append((1.0, 1.0))
@@ -488,9 +476,7 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     probed = dp.probe(eps)
     if probed is None:
         return False, None
-    events = dp.events(probed)
-    _strictify(events)
-    return True, _certificate_from_events(events)
+    return True, _certificate(dp.events(probed))
 
 
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
@@ -529,9 +515,7 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     require_same_space(x.values[0], y.values[0])
     dp = _BandedDP(x, y, d)
     value, probed = dp.least_feasible()
-    events = dp.events(probed)
-    _strictify(events)
-    cert = _certificate_from_events(events)
+    cert = _certificate(dp.events(probed))
     time_sup = cert.warp_deviation()
     value_sup = uniform_distance(compose_time_change(x, cert), y, d)
     if max(time_sup, value_sup) > value + CERT_TOL:
@@ -539,9 +523,10 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     return DistanceResult(value, cert, time_sup, value_sup)
 
 
-def bisect_distance(x: StepFunction, y: StepFunction, d, tol: float = 1e-12) -> float:
-    """Distance by plain bisection on feasibility; cross-check for the
-    candidate-set computation."""
+def bisect_distance(x: StepFunction, y: StepFunction, d) -> float:
+    """Distance by plain bisection on feasibility, down to adjacent floats:
+    the least feasible float, so it equals ``skorohod_distance(...).value``.
+    A cross-check for the candidate-set computation."""
     dp = _BandedDP(x, y, d)
 
     def feas(eps):
@@ -555,8 +540,8 @@ def bisect_distance(x: StepFunction, y: StepFunction, d, tol: float = 1e-12) -> 
     hi = max(1.0, dp.largest_distance())
     if not (hi < math.inf and feas(hi)):
         raise NonFiniteDistance("value metric gave a non-finite distance")
-    # adjacent floats lie more than the default tol apart from about 1e4 on
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+    # lo fails and hi holds; hi - lo cannot overflow, unlike lo + hi
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if feas(mid):
             hi = mid
         else:
@@ -768,9 +753,14 @@ def oracle_distance(x: StepFunction, y: StepFunction, d) -> float:
 
 
 def result_from_json(text: str):
-    """Parse a distance result document: {"distance": v, "certificate": {...}}."""
+    """Parse a distance result document: {"distance": v, "certificate": {...}}.
+    NaN/Infinity tokens are rejected."""
+
+    def _reject(token):
+        raise CertificateError(f"non-finite token {token!r} in input")
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "certificate" not in obj or "distance" not in obj:

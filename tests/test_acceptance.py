@@ -32,7 +32,6 @@ from skorodist.distance import (
     skorohod_distance,
     uniform_distance,
 )
-from skorodist.maps import Identity, Project, SquareCoords
 from skorodist.pseudometric import Euclidean, coordinate_family, euclidean_family
 from skorodist.sampling import (
     box_value,
@@ -40,10 +39,10 @@ from skorodist.sampling import (
     random_step_function,
     random_time_change,
     scalar_level_value,
-    shifted_sequence,
     unit_square_value,
 )
-from skorodist.topology import t1_transfer_check, t2_continuity_check, uniform_modulus
+from skorodist.suites import run_axioms, run_pushforward
+from skorodist.topology import t1_transfer_check, uniform_modulus
 
 TOL = 1e-9
 SEED = 20260809
@@ -107,22 +106,7 @@ def test_criterion_2_indicator_shift_law():
 
 
 def test_criterion_3_pseudometric_axioms():
-    rng = random.Random(SEED + 3)
-    for case in range(200):
-        if case % 2 == 0:
-            vs, d = scalar_level_value, ABS
-        else:
-            vs, d = unit_square_value, MAXC
-        x = random_step_function(rng, 4, vs)
-        y = random_step_function(rng, 4, vs)
-        z = random_step_function(rng, 4, vs)
-        assert skorohod_distance(x, x, d).value == 0.0
-        dxy = skorohod_distance(x, y, d).value
-        dyx = skorohod_distance(y, x, d).value
-        assert abs(dxy - dyx) <= TOL
-        dxz = skorohod_distance(x, z, d).value
-        dyz = skorohod_distance(y, z, d).value
-        assert dxz <= dxy + dyz + TOL
+    assert run_axioms(seed=SEED + 3, trials=200)["pass"]
     print("\n[acceptance] criterion 3 (pseudometric axioms, 200 triples): PASS")
 
 
@@ -180,19 +164,9 @@ def test_criterion_5_transfer():
 
 
 def test_criterion_6_pushforward_continuity():
-    rng = random.Random(SEED + 6)
-    cases = [
-        (Identity(), COORDS, COORDS.full_index()),
-        (Project((1,)), coordinate_family(1), frozenset({1})),
-        (SquareCoords(), COORDS, COORDS.full_index()),
-    ]
-    for _ in range(20):
-        x = random_step_function(rng, 4, lambda r: box_value(r, -0.8, 0.8))
-        seq = shifted_sequence(x, 20, rng)
-        for value_map, fam_image, index in cases:
-            report = t2_continuity_check(value_map, x, seq, COORDS, fam_image, index)
-            assert report.identity_ok  # pushforward identity within 1e-9, all n <= 20
-            assert report.rows[-1].pushed_distance <= 1e-2 + TOL
+    # pushforward identity within 1e-9 for all n <= 20, and final distance
+    # <= 1e-2 + 1e-9
+    assert run_pushforward(seed=SEED + 6, base_count=20, depth=20)["pass"]
     print("\n[acceptance] criterion 6 (pushforward identity + convergence, "
           "20 seeds x 3 maps): PASS")
 

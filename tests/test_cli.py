@@ -130,6 +130,18 @@ def test_certificate_that_collapses_jump_times_is_invalid(tmp_path, capsys):
     assert err.startswith("invalid certificate: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_certificate_rejects_non_finite_distance(token, tmp_path, capsys):
+    trace = tmp_path / "x.json"
+    trace.write_text(json.dumps({"times": [0.0], "values": [[0.0]]}))
+    res = tmp_path / "res.json"
+    res.write_text('{"distance": %s, "certificate": {"knots": [[0,0],[1,1]]}}' % token)
+    assert main(["certificate-check", str(trace), str(trace), str(res)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid certificate: non-finite token '{token}' in input\n"
+
+
 def test_distance_rejects_an_overflowing_metric(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

@@ -210,17 +210,18 @@ def test_distance_is_endpoint_bound_above_window_candidate():
     assert oracle_distance(x, y, ABS) == 0.5 - 0.3
 
 
-def test_out_of_band_value_candidate_is_skipped():
+def test_out_of_band_value_candidate_does_not_bind():
     # |0.4 - 0.1| = 0.30000000000000004 binds; it is also the least float
     # above the real gap.  The candidate 0.3 is only the distance of pieces
     # 0.35 apart in time: their state lies in the band at the gallop's
-    # bracket top 0.5 but not at eps = 0.3, so the search skips it.
+    # bracket top 0.5 but not at eps = 0.3.  The search probes it, and as
+    # feasibility is decided exactly, 0.3 fails.
     x = make_step([0.0, 0.1, 0.75], [0.0, 1.0, 0.3])
     y = make_step([0.0, 0.4, 0.75], [0.0, 1.0, 0.3])
     res = skorohod_distance(x, y, ABS)
     assert res.value == 0.4 - 0.1
     assert 0.3 in candidate_thresholds(x, y, ABS)
-    assert 0.3 not in _BandedDP(x, y, ABS).thresholds(0.0, 0.5)
+    assert 0.3 in _BandedDP(x, y, ABS).thresholds(0.0, 0.5)
     assert not feasible(x, y, 0.3, ABS)[0]
     assert oracle_distance(x, y, ABS) == res.value
 
@@ -289,9 +290,16 @@ def test_distance_far_above_one():
     assert dp.probes <= 5
     y = make_step([0.0, 0.3, 0.6], [0.0, 1e6, 0.0])
     assert skorohod_distance(y, ZERO, ABS).value == oracle_distance(y, ZERO, ABS) == 1e6
-    # floats near 1e6 lie further apart than the tolerance: bisection stops at
-    # adjacent floats
+    # bisection stops at adjacent floats, however far apart they lie
     assert bisect_distance(y, ZERO, ABS) == 1e6
+
+
+def test_bisection_midpoint_does_not_overflow():
+    # lo + hi overflows near the float maximum; the bracket top is 1.6e308
+    x = make_step([0.0, 0.5], [0.0, 1.6e308])
+    y = make_step([0.0, 0.5], [0.0, 0.6e308])
+    assert skorohod_distance(x, y, ABS).value == oracle_distance(x, y, ABS) == 1e308
+    assert bisect_distance(x, y, ABS) == 1e308
 
 
 def test_search_does_not_reprobe_a_failed_threshold():
@@ -387,7 +395,7 @@ def test_bisection_cross_check():
         vs, d = sampler_for(case)
         x = random_step_function(rng, 4, vs)
         y = random_step_function(rng, 4, vs)
-        assert abs(bisect_distance(x, y, d) - skorohod_distance(x, y, d).value) <= 1e-9
+        assert bisect_distance(x, y, d) == skorohod_distance(x, y, d).value
 
 
 def test_pseudometric_axioms_of_the_distance():
@@ -507,10 +515,11 @@ def _round_up(q):
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def _can_bind(x, y, d):
+def _can_bind(x, y, d, top=None):
     """candidate_thresholds without the piece distances v of pieces lying
-    more than v apart in time, written from the piece intervals
-    [s_i, s_{i+1}) and [r_j, r_{j+1}) in exact rationals."""
+    more than v apart in time, or more than ``top`` apart when it is given,
+    written from the piece intervals [s_i, s_{i+1}) and [r_j, r_{j+1}) in
+    exact rationals."""
     s = [Fraction(t) for t in (*x.times, 1.0)]
     r = [Fraction(t) for t in (*y.times, 1.0)]
     a, b = s[1:-1], r[1:-1]
@@ -519,7 +528,8 @@ def _can_bind(x, y, d):
     for i, xv in enumerate(x.values):
         for j, yv in enumerate(y.values):
             v = d(xv, yv)
-            if r[j + 1] >= s[i] - Fraction(v) and r[j] <= s[i + 1] + Fraction(v):
+            w = Fraction(v if top is None else top)
+            if r[j + 1] >= s[i] - w and r[j] <= s[i + 1] + w:
                 out.add(v)
     return sorted(out)
 
@@ -580,7 +590,8 @@ def test_thresholds_are_the_bracketed_part_of_the_binding_set(inst, data):
     )
     top = data.draw(st.one_of(st.sampled_from([*cands, 1.0]), st.floats(0.0, 2.0)))
     top = max(lo, top)
-    assert dp.thresholds(lo, top) == [c for c in cands if lo <= c <= top]
+    binding = _can_bind(x, y, d, top)
+    assert dp.thresholds(lo, top) == [c for c in binding if lo <= c <= top]
 
 
 # --- property: exact on adversarial inputs ---------------------------------
