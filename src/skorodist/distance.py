@@ -37,6 +37,8 @@ probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
 and ``MaxOf`` check once per solve rather than once per pair.  A plain
 callable metric is evaluated pair by pair.
+A caller that needs only the verdict "distance <= eps" gets it from one probe
+(``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
 cross-check that returns the same float, and ``oracle_distance`` recomputes
 everything by brute force over weak orderings, independent of the dynamic
@@ -329,6 +331,10 @@ class _BandedDP:
             above_hi = hi
         return (e, rows) if reach >> len(self.b) & 1 else None
 
+    def within(self, eps):
+        """Decide "Skorohod distance <= eps" with one probe, keeping no path."""
+        return self.probe(eps) is not None
+
     def events(self, probed):
         """Path events of a feasible probe in forward order:
         ["x"|"y"|"xy", time, warped x-jump], with float times.  Rounding the
@@ -479,6 +485,18 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     return True, _certificate(dp.events(probed))
 
 
+def _within(x: StepFunction, y: StepFunction, eps: float, d) -> bool:
+    """Decide "Skorohod distance <= eps" without a certificate.
+
+    The distance is the least float at which this holds, so for a float
+    bound, ``distance < bound`` iff ``_within`` at the float below bound, and
+    ``distance > eps`` iff not ``_within`` at eps.  A NaN or infinite piece
+    distance fails its value check here rather than raising.
+    """
+    require_same_space(x.values[0], y.values[0])
+    return _BandedDP(x, y, d).within(eps)
+
+
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
     """Finite set containing every float eps at which feasibility can change.
 
@@ -528,21 +546,17 @@ def bisect_distance(x: StepFunction, y: StepFunction, d) -> float:
     the least feasible float, so it equals ``skorohod_distance(...).value``.
     A cross-check for the candidate-set computation."""
     dp = _BandedDP(x, y, d)
-
-    def feas(eps):
-        return dp.probe(eps) is not None
-
     lo = 0.0
-    if feas(lo):
+    if dp.within(lo):
         return 0.0
     # every window is open from eps = 1, so only a non-finite (inf or NaN)
     # piece distance keeps hi from being a finite feasible bracket top
     hi = max(1.0, dp.largest_distance())
-    if not (hi < math.inf and feas(hi)):
+    if not (hi < math.inf and dp.within(hi)):
         raise NonFiniteDistance("value metric gave a non-finite distance")
     # lo fails and hi holds; hi - lo cannot overflow, unlike lo + hi
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        if feas(mid):
+        if dp.within(mid):
             hi = mid
         else:
             lo = mid

@@ -25,7 +25,9 @@ Three procedures, all operating on finite data:
   independence, run empirically: with (j, delta) from ``uniform_modulus``
   applied to the fine family and the coarse index metric on K = range of x,
   every sampled y whose fine Skorohod distance to x is below min(delta, eps)
-  must have coarse Skorohod distance at most eps.
+  must have coarse Skorohod distance at most eps.  Both conditions are
+  decided exactly by one feasibility probe each, with no threshold search or
+  certificate; only a violation's report computes the two distances.
 
 * ``pushforward`` / ``t2_continuity_check`` -- composition with a continuous
   value map psi, and the exact identity between the Skorohod distance of the
@@ -43,7 +45,7 @@ import sys
 from dataclasses import dataclass
 
 from .cadlag import StepFunction, make_step
-from .distance import skorohod_distance
+from .distance import _within, skorohod_distance
 from .pseudometric import Coordinate, Euclidean, PseudometricFamily, PulledBack
 
 
@@ -266,7 +268,12 @@ def t1_transfer_check(
 
     ``sampler`` is called as ``sampler(rng, bound)`` with the conditioning
     radius, so proposals can be scaled sensibly; acceptance is still decided
-    here by recomputing the fine distance.
+    here, by one feasibility probe.  As the distance is the least float at
+    which the probe succeeds, y is accepted iff the fine probe succeeds at
+    the float below ``bound``, and is a violation iff the coarse probe fails
+    at eps + tol; only a violation's report computes the two distances.  A
+    NaN or infinite piece distance fails its probe's value check instead of
+    raising ``NonFiniteDistance``, which only a violation's report can raise.
     """
     rng = rng if rng is not None else random.Random(0)
     rho = coarse.metric(index)
@@ -274,6 +281,7 @@ def t1_transfer_check(
     mod = uniform_modulus(fine, points, rho, eps, rng=rng, samples=modulus_samples)
     zeta = fine.metric(mod.index)
     bound = min(mod.delta, eps)
+    below = math.nextafter(bound, -1.0)  # distance < bound iff <= below
     accepted = 0
     attempts = 0
     violations = []
@@ -286,13 +294,12 @@ def t1_transfer_check(
             )
         attempts += 1
         y = sampler(rng, bound)
-        zeta_val = skorohod_distance(x, y, zeta).value
-        if zeta_val >= bound:
+        if not _within(x, y, below, zeta):
             continue
         accepted += 1
-        d_val = skorohod_distance(x, y, rho).value
-        if d_val > eps + tol:
-            violations.append((y, zeta_val, d_val))
+        if not _within(x, y, eps + tol, rho):
+            zeta_val = skorohod_distance(x, y, zeta).value
+            violations.append((y, zeta_val, skorohod_distance(x, y, rho).value))
     return TransferReport(trials=accepted, violations=violations, modulus=mod)
 
 

@@ -12,6 +12,7 @@ from skorodist.distance import (
     CertificateError,
     _BandedDP,
     _up_gap,
+    _within,
     OracleInstance,
     OracleTooLarge,
     TimeChange,
@@ -651,6 +652,36 @@ def test_distance_is_exact_on_adversarial_inputs(inst):
     assert oracle <= value <= oracle + math.ulp(oracle)
     ok, bound = check_certificate(x, y, ABS, value, res.certificate)
     assert ok, bound
+
+
+@st.composite
+def within_instances(draw):
+    """Grid, off-grid or clustered jump times, with scalar values under |a - b|
+    or 2-D values under the maximum of the coordinates."""
+    tx, ty = draw(jump_times(12)), draw(jump_times(12))
+    if draw(st.booleans()):
+        value, d = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0)), ABS
+    else:
+        level = st.one_of(st.sampled_from(LEVELS), st.floats(-1.0, 1.0))
+        value, d = st.tuples(level, level), MAXC
+    x = make_step(tx, [draw(value) for _ in tx])
+    y = make_step(ty, [draw(value) for _ in ty])
+    return x, y, d
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=within_instances())
+def test_within_decides_the_distance(inst):
+    x, y, d = inst
+    value = skorohod_distance(x, y, d).value
+    assert _within(x, y, value, d)
+    assert value == 0.0 or not _within(x, y, math.nextafter(value, -math.inf), d)
 
 
 # --- property: the bitset probe is the earliest-entry-time DP --------------

@@ -26,6 +26,7 @@ from skorodist.pseudometric import (
 from skorodist.sampling import (
     box_value,
     conditioned_perturbation_sampler,
+    perturb,
     random_step_function,
     random_time_change,
     shifted_sequence,
@@ -34,6 +35,7 @@ from skorodist.topology import (
     MAX_EPS,
     Modulus,
     ModulusValidationError,
+    SamplerStarvation,
     _candidates_near,
     _post_validate,
     pushforward,
@@ -243,6 +245,58 @@ def test_transfer_report_and_rng_stream_are_pinned():
         "violations": [],
     }
     assert rng.random() == 0.5097794002618546
+
+
+def test_transfer_violations_report_exact_distances(monkeypatch):
+    # A modulus radius sqrt(8) times too large for the Euclidean target: the
+    # fine ball of max-coordinate radius eps reaches Euclidean distance
+    # sqrt(2) * eps, so some accepted draws must break the transfer.
+    eps, tol = 0.2, 1e-9
+
+    def too_large(family, K, rho, eps, rng=None, samples=2000):
+        return Modulus(family.full_index(), eps)
+
+    def diagonal(rng, bound):
+        # jittered jumps, and every value moved by s in both coordinates
+        y, s = perturb(x, rng, 0.3 * bound, 0.0), bound * rng.random()
+        return make_step(y.times, [(a + s, b + s) for a, b in y.values])
+
+    monkeypatch.setattr("skorodist.topology.uniform_modulus", too_large)
+    rng = random.Random(9)
+    x = random_step_function(rng, 3, lambda r: box_value(r))
+    report = t1_transfer_check(
+        x, EUCLID, COORDS, frozenset({1}), eps, diagonal, 40, rng=rng, tol=tol
+    )
+    assert report.trials == 40
+    assert len(report.violations) == 6
+    bound = min(report.modulus.delta, eps)
+    fine, coarse = COORDS.metric(report.modulus.index), Euclidean()
+    for y, fine_distance, coarse_distance in report.violations:
+        assert fine_distance < bound and coarse_distance > eps + tol
+        assert fine_distance == skorohod_distance(x, y, fine).value
+        assert coarse_distance == skorohod_distance(x, y, coarse).value
+    assert rng.random() == 0.30901799675437147
+
+
+def test_transfer_acceptance_is_strict_at_the_bound():
+    # eps = 0.2 under one Euclidean family: delta = eps / 2 = 0.1 = bound.
+    # A draw at distance exactly 0.1 is outside the open fine ball.
+    x = make_step([0.0], [(0.0, 0.0)])
+
+    def moved_by(shift):
+        return lambda rng, bound: make_step([0.0], [(shift, 0.0)])
+
+    with pytest.raises(SamplerStarvation):
+        t1_transfer_check(
+            x, EUCLID, EUCLID, frozenset({1}), 0.2, moved_by(0.1), 3,
+            rng=random.Random(0), max_attempts_factor=2, modulus_samples=50,
+        )
+    report = t1_transfer_check(
+        x, EUCLID, EUCLID, frozenset({1}), 0.2, moved_by(math.nextafter(0.1, 0.0)),
+        3, rng=random.Random(0), max_attempts_factor=2, modulus_samples=50,
+    )
+    assert report.modulus.delta == 0.1
+    assert report.trials == 3 and report.passed
 
 
 def test_transfer_report_json_shape():
