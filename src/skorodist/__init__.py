@@ -1,128 +1,58 @@
 """Exact Skorohod distances on step functions, with certificates, pseudometric
-families, topology-transfer checks, and the K-topology counterexample."""
+families, topology-transfer checks, and the K-topology counterexample.
 
-from .cadlag import (
-    SplitPoint,
-    StepFunction,
-    TraceParseError,
-    ValueSpaceMismatch,
-    compose_time_change,
-    make_step,
-    minus,
-    plus,
-    step_from_json,
-    step_to_json,
-)
-from .counterexample import (
-    TailSequence,
-    TauKNeighborhood,
-    constant_tail,
-    converges,
-    f_example,
-    f_left_limit,
-    in_k,
-    k_isolation_witness,
-    reciprocal_tail,
-    split_extension_discontinuity_report,
-)
+The package exports the library API that the README documents; every other
+name stays importable from its own module."""
+
+from .cadlag import StepFunction, TraceParseError, ValueSpaceMismatch, make_step
 from .distance import (
-    CERT_TOL,
     CertificateError,
     DistanceResult,
-    OracleTooLarge,
     TimeChange,
     bisect_distance,
-    candidate_thresholds,
     check_certificate,
     feasible,
     oracle_distance,
     skorohod_distance,
     uniform_distance,
 )
-from .maps import AffineMap, Clamp, Identity, Project, SquareCoords
 from .pseudometric import (
     Coordinate,
     Discrete,
     Euclidean,
     MaxOf,
     Pseudometric,
-    PseudometricFamily,
-    PulledBack,
-    Scaled,
-    check_axioms,
     coordinate_family,
     euclidean_family,
     family_from_config,
 )
-from .topology import (
-    Modulus,
-    ModulusValidationError,
-    SamplerStarvation,
-    TransferReport,
-    pushforward,
-    t1_transfer_check,
-    t2_continuity_check,
-    uniform_modulus,
-)
+from .topology import pushforward, t1_transfer_check, uniform_modulus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
-    "CERT_TOL",
     "CertificateError",
-    "Clamp",
     "Coordinate",
     "Discrete",
     "DistanceResult",
     "Euclidean",
-    "Identity",
     "MaxOf",
-    "Modulus",
-    "ModulusValidationError",
-    "OracleTooLarge",
-    "Project",
     "Pseudometric",
-    "PseudometricFamily",
-    "PulledBack",
-    "SamplerStarvation",
-    "Scaled",
-    "SplitPoint",
-    "SquareCoords",
     "StepFunction",
-    "TailSequence",
-    "TauKNeighborhood",
     "TimeChange",
     "TraceParseError",
-    "TransferReport",
     "ValueSpaceMismatch",
     "bisect_distance",
-    "candidate_thresholds",
-    "check_axioms",
     "check_certificate",
-    "compose_time_change",
-    "constant_tail",
-    "converges",
     "coordinate_family",
     "euclidean_family",
-    "f_example",
-    "f_left_limit",
     "family_from_config",
     "feasible",
-    "in_k",
-    "k_isolation_witness",
     "make_step",
-    "minus",
     "oracle_distance",
-    "plus",
     "pushforward",
-    "reciprocal_tail",
     "skorohod_distance",
-    "split_extension_discontinuity_report",
-    "step_from_json",
-    "step_to_json",
     "t1_transfer_check",
-    "t2_continuity_check",
     "uniform_distance",
     "uniform_modulus",
 ]

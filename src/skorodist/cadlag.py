@@ -49,7 +49,7 @@ def coerce_value(raw) -> Value:
         raw = (raw,)
     try:
         coords = tuple(float(c) for c in raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceParseError(f"cannot interpret value {raw!r}") from exc
     if not coords:
         raise TraceParseError("empty coordinate vector")
@@ -180,7 +180,10 @@ def make_step(times: Iterable[float], values: Iterable) -> StepFunction:
     [0, 1), and values from a single value space.  Does *not* merge equal
     adjacent values; see :meth:`StepFunction.normalize`.
     """
-    ts = tuple(float(t) for t in times)
+    try:
+        ts = tuple(float(t) for t in times)
+    except OverflowError as exc:
+        raise ValueError(f"jump time out of float range: {exc}") from exc
     vs = tuple(coerce_value(v) for v in values)
     if not ts:
         raise ValueError("a step function needs at least one piece")

@@ -103,7 +103,7 @@ class TimeChange:
     def __post_init__(self):
         try:
             ks = tuple((float(t), float(lt)) for t, lt in self.knots)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CertificateError(f"bad knots: {exc}") from exc
         object.__setattr__(self, "knots", ks)
         if len(ks) < 2 or ks[0] != (0.0, 0.0) or ks[-1] != (1.0, 1.0):
@@ -151,7 +151,7 @@ class TimeChange:
             raise CertificateError('"knots" must be an array of [t, lam_t] pairs')
         try:
             pairs = tuple((float(t), float(lt)) for t, lt in knots)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CertificateError(f"bad knot entry: {exc}") from exc
         return cls(pairs)
 
@@ -569,11 +569,10 @@ def check_certificate(
     d,
     claimed: float,
     cert: TimeChange,
-    tol: float = CERT_TOL,
 ):
     """Recompute the certified bound max(warp deviation, value supremum).
 
-    Returns ``(ok, bound)`` with ``ok`` true iff ``bound <= claimed + tol``.
+    Returns ``(ok, bound)`` with ``ok`` true iff ``bound <= claimed + CERT_TOL``.
     The value supremum is recomputed from scratch via composition with the
     certificate, so this audits the certificate without trusting the distance
     computation.  A certificate that merges two jump times of x is invalid.
@@ -583,7 +582,7 @@ def check_certificate(
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc
     bound = max(cert.warp_deviation(), uniform_distance(warped, y, d))
-    return bound <= claimed + tol, bound
+    return bound <= claimed + CERT_TOL, bound
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +767,7 @@ def oracle_distance(x: StepFunction, y: StepFunction, d) -> float:
 
 def result_from_json(text: str):
     """Parse a distance result document: {"distance": v, "certificate": {...}}.
-    NaN/Infinity tokens are rejected."""
+    NaN/Infinity tokens and numbers outside the float range are rejected."""
 
     def _reject(token):
         raise CertificateError(f"non-finite token {token!r} in input")
@@ -782,4 +781,10 @@ def result_from_json(text: str):
     claimed = obj["distance"]
     if isinstance(claimed, bool) or not isinstance(claimed, (int, float)):
         raise CertificateError(f"bad distance value {claimed!r}")
-    return float(claimed), TimeChange.from_json_obj(obj["certificate"])
+    try:
+        claimed = float(claimed)
+    except OverflowError:  # an integer literal beyond the float range
+        claimed = math.inf
+    if not math.isfinite(claimed):  # or a float literal such as 1e400
+        raise CertificateError("distance out of float range")
+    return claimed, TimeChange.from_json_obj(obj["certificate"])

@@ -114,15 +114,6 @@ class AffineMap:
         }
 
 
-VALUE_MAPS = {
-    "identity": Identity,
-    "project": Project,
-    "square": SquareCoords,
-    "clamp": Clamp,
-    "affine": AffineMap,
-}
-
-
 def map_from_config(obj: dict):
     """Build a registered value map from its JSON form."""
     if not isinstance(obj, dict) or "kind" not in obj:

@@ -275,13 +275,12 @@ class AxiomReport:
         }
 
 
-def check_axioms(d, samples, tol: float = 1e-12) -> AxiomReport:
+def check_axioms(d, samples) -> AxiomReport:
     """Check d(a, a) = 0, nonnegativity, symmetry, and the triangle inequality
     on explicit sample triples.
 
     Identity, nonnegativity and symmetry are exact; the triangle inequality
-    allows a roundoff guard of ``tol`` (1e-12 by default, far below any
-    distance scale used here).
+    allows a roundoff guard of 1e-12, far below any distance scale used here.
     """
     violations = []
     for a, b, c in samples:
@@ -297,7 +296,7 @@ def check_axioms(d, samples, tol: float = 1e-12) -> AxiomReport:
             if duw != dwu:
                 violations.append(AxiomViolation("symmetry", (u, w), abs(duw - dwu)))
         excess = d(a, c) - (d(a, b) + d(b, c))
-        if excess > tol:
+        if excess > 1e-12:
             violations.append(AxiomViolation("triangle", (a, b, c), excess))
     return AxiomReport(len(samples), violations)
 
@@ -361,13 +360,19 @@ class PseudometricFamily:
 
 def family_from_config(obj: dict) -> PseudometricFamily:
     """Parse ``{"space": {...}, "generators": [...]}``; "space" is optional
-    metadata and is not interpreted."""
+    metadata and is not interpreted.  Raises ``ValueError`` on any malformed
+    config, including a missing key or a value of the wrong type."""
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError('family config needs a "generators" array')
     gens = obj["generators"]
     if not isinstance(gens, list) or not gens:
         raise ValueError("family config needs at least one generator")
-    return PseudometricFamily(tuple(metric_from_config(g) for g in gens))
+    try:
+        return PseudometricFamily(tuple(metric_from_config(g) for g in gens))
+    except KeyError as exc:
+        raise ValueError(f"generator config lacks the key {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad generator config: {exc}") from exc
 
 
 def coordinate_family(dim: int) -> PseudometricFamily:

@@ -31,9 +31,11 @@ def random_step_function(rng, max_jumps, value_sampler, grid=GRID_20) -> StepFun
     return make_step(times, [value_sampler(rng) for _ in times])
 
 
-def random_time_change(rng, max_interior_knots=3) -> TimeChange:
+def random_time_change(rng) -> TimeChange:
+    """A piecewise-linear time change with 0 to 3 interior knots in
+    [0.05, 0.95]."""
     while True:
-        k = rng.randint(0, max_interior_knots)
+        k = rng.randint(0, 3)
         ts = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
         ls = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
         knots = ((0.0, 0.0), *zip(ts, ls), (1.0, 1.0))

@@ -34,7 +34,7 @@ Three procedures, all operating on finite data:
   pushed-forward pair under zeta and the Skorohod distance of the original
   pair under the pulled-back pseudometric zeta(psi(.), psi(.)).  The identity
   is an equality of two instances of the same infimum, not an approximation,
-  so it is asserted to 1e-9.
+  and both sides are exact, so it is asserted with ``==``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ from .pseudometric import Coordinate, Euclidean, PseudometricFamily, PulledBack
 # delta + 2 * eps <= 2.5 * eps and the widths drawn over are twice that, so
 # below float max / 8 every radius and width stays finite.
 MAX_EPS = sys.float_info.max / 8
+
+# A vector ball validates only with at least this many sampled hits, and the
+# radius search halves at most this many times before giving up.
+_MIN_HITS = 20
+_MAX_DEPTH = 40
 
 
 class ModulusValidationError(RuntimeError):
@@ -80,15 +85,11 @@ class Modulus:
 
 
 def _candidates_near(z, r_tight, r_wide, rng, n, alphabet):
-    """Candidates around z: labels enumerate the alphabet; vectors draw each
-    coordinate from the tight or the wide radius independently.  The mixed
-    radii keep slab-shaped balls populated at any tight radius while still
-    probing directions the tight scale would hide."""
+    """Candidates around z: labels enumerate the alphabet (the label points
+    of K); vectors draw each coordinate from the tight or the wide radius
+    independently.  The mixed radii keep slab-shaped balls populated at any
+    tight radius while still probing directions the tight scale would hide."""
     if isinstance(z, str):
-        if alphabet is None:
-            raise ModulusValidationError(
-                "label values need an explicit alphabet to sample from"
-            )
         return list(alphabet)
     # rng.uniform(-r, r) written out as CPython computes it, -r + (r - -r) *
     # random(), so that every coordinate and the RNG stream are unchanged.
@@ -105,7 +106,7 @@ def _candidates_near(z, r_tight, r_wide, rng, n, alphabet):
     return out
 
 
-def _ball_ok(d_index, z, ball_radius, rho, bound, rng, samples, min_hits, alphabet):
+def _ball_ok(d_index, z, ball_radius, rho, bound, rng, samples, alphabet):
     """Sample the ball {d_index(z, .) < ball_radius} and test rho < bound on
     every hit.  The wide radius reaches rho ~ bound, so a direction the family
     does not see shows up as a violation instead of being missed."""
@@ -114,7 +115,7 @@ def _ball_ok(d_index, z, ball_radius, rho, bound, rng, samples, min_hits, alphab
     )
     hits = _hits(d_index, z, cands, ball_radius)
     # A label ball is computed exactly over the alphabet: no minimum count.
-    if len(hits) < min_hits and not isinstance(z, str):
+    if len(hits) < _MIN_HITS and not isinstance(z, str):
         return False
     return all(r < bound for r in rho.row(z, hits))
 
@@ -131,9 +132,6 @@ def uniform_modulus(
     eps: float,
     rng=None,
     samples: int = 2000,
-    min_hits: int = 20,
-    max_depth: int = 40,
-    alphabet=None,
 ) -> Modulus:
     """Find (index, delta) with: z in K and family_index(z, y) < delta imply
     rho(z, y) < eps.
@@ -144,6 +142,10 @@ def uniform_modulus(
     validates, which is the observable signature of rho not being continuous
     for the family's topology (e.g. a family missing a coordinate that rho
     sees).
+
+    Vector balls are sampled: ``samples`` candidates per ball, of which at
+    least ``_MIN_HITS`` must hit it, over at most ``_MAX_DEPTH`` halvings of
+    the radius.  Label balls are computed exactly over the label points of K.
     """
     points = sorted(K, key=repr)
     if not points:
@@ -151,16 +153,13 @@ def uniform_modulus(
     if not 0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, {MAX_EPS}], got {eps}")
     rng = rng if rng is not None else random.Random(0)
-    if alphabet is None and isinstance(points[0], str):
-        # candidate pool for label spaces; balls are then computed exactly
-        alphabet = points
 
     # Fast path: rho is itself one of the family's index metrics, so the ball
     # of radius eps/2 around any point is contained in {rho < eps}.
     for idx in family.indices():
         if family.metric(idx) == rho:
             mod = Modulus(idx, eps / 2.0)
-            _post_validate(family, points, rho, eps, mod, rng, samples, alphabet)
+            _post_validate(family, points, rho, eps, mod, rng, samples, points)
             return mod
 
     # Fast path: Euclidean target under a full coordinate family; the
@@ -175,7 +174,7 @@ def uniform_modulus(
         if all(k in by_coord for k in range(1, dim + 1)):
             idx = frozenset(by_coord[k] for k in range(1, dim + 1))
             mod = Modulus(idx, eps / (2.0 * math.sqrt(dim)))
-            _post_validate(family, points, rho, eps, mod, rng, samples, alphabet)
+            _post_validate(family, points, rho, eps, mod, rng, samples, points)
             return mod
 
     # General path, following the covering construction: for every z find
@@ -187,10 +186,8 @@ def uniform_modulus(
     delta = None
     for z in points:
         dz = eps / 2.0
-        for _ in range(max_depth):
-            if _ball_ok(
-                d_index, z, 2.0 * dz, rho, eps / 2.0, rng, samples, min_hits, alphabet
-            ):
+        for _ in range(_MAX_DEPTH):
+            if _ball_ok(d_index, z, 2.0 * dz, rho, eps / 2.0, rng, samples, points):
                 break
             dz /= 2.0
         else:
@@ -200,7 +197,7 @@ def uniform_modulus(
             )
         delta = dz if delta is None else min(delta, dz)
     mod = Modulus(idx, delta)
-    _post_validate(family, points, rho, eps, mod, rng, samples, alphabet)
+    _post_validate(family, points, rho, eps, mod, rng, samples, points)
     return mod
 
 
@@ -320,47 +317,17 @@ class T2Row:
     pulled_back_distance: float
     pushed_distance: float
 
-    @property
-    def identity_gap(self) -> float:
-        return abs(self.pushed_distance - self.pulled_back_distance)
-
 
 @dataclass
 class T2Report:
     """Per-step comparison of the pushforward identity along a sequence.
 
     ``identity_ok`` asserts the exact identity (pushed distance under zeta
-    equals the distance under the pulled-back pseudometric) on every row;
-    ``thresholds_met`` records, per decade 10^-k, the first row from which
-    the pushed distance stays below it (None if never, which for short
-    sequences is expected at the finer decades).
+    equals the distance under the pulled-back pseudometric) on every row.
     """
 
     rows: list
     identity_ok: bool
-    thresholds_met: dict
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_ok and self.thresholds_met.get(2) is not None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pass": self.passed,
-            "identity_ok": self.identity_ok,
-            "thresholds_met": {str(k): v for k, v in self.thresholds_met.items()},
-            "rows": [
-                {
-                    "n": r.n,
-                    "base_distance": r.base_distance,
-                    "pulled_back_distance": r.pulled_back_distance,
-                    "pushed_distance": r.pushed_distance,
-                    "identity_gap": r.identity_gap,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def t2_continuity_check(
@@ -370,14 +337,14 @@ def t2_continuity_check(
     fam_domain: PseudometricFamily,
     fam_image: PseudometricFamily,
     index,
-    tol: float = 1e-9,
 ) -> T2Report:
     """Track a shrinking sequence x_n -> x through a pushforward.
 
     Per row: the domain-family distance max over all indices, the distance of
     (x_n, x) under the pulled-back pseudometric, and the distance of the
     pushed-forward pair under the image index metric.  The last two are the
-    same infimum written two ways and must agree to ``tol``.
+    same infimum written two ways, each computed exactly, so they must be
+    equal as floats.
     """
     zeta = fam_image.metric(index)
     pulled = PulledBack(value_map, zeta)
@@ -391,15 +358,5 @@ def t2_continuity_check(
         pb = skorohod_distance(xn, x, pulled).value
         pf = skorohod_distance(pushforward(value_map, xn), pushed_x, zeta).value
         rows.append(T2Row(n, base, pb, pf))
-    identity_ok = all(r.identity_gap <= tol for r in rows)
-    thresholds = {}
-    for k in (1, 2, 3):
-        level = 10.0 ** (-k) + tol
-        first = None
-        for r in reversed(rows):
-            if r.pushed_distance <= level:
-                first = r.n
-            else:
-                break
-        thresholds[k] = first
-    return T2Report(rows, identity_ok, thresholds, tol)
+    identity_ok = all(r.pushed_distance == r.pulled_back_distance for r in rows)
+    return T2Report(rows, identity_ok)

@@ -24,25 +24,23 @@ from skorodist.counterexample import (
     reciprocal_tail,
     split_extension_discontinuity_report,
 )
-from skorodist.distance import (
-    OracleInstance,
-    candidate_thresholds,
-    feasible,
-    oracle_distance,
-    skorohod_distance,
-    uniform_distance,
-)
+from skorodist.distance import oracle_distance, skorohod_distance, uniform_distance
 from skorodist.pseudometric import Euclidean, coordinate_family, euclidean_family
 from skorodist.sampling import (
     box_value,
-    conditioned_perturbation_sampler,
     random_step_function,
     random_time_change,
     scalar_level_value,
     unit_square_value,
 )
-from skorodist.suites import run_axioms, run_pushforward
-from skorodist.topology import t1_transfer_check, uniform_modulus
+from skorodist.suites import (
+    _pair_sampler,
+    run_axioms,
+    run_oracle,
+    run_pushforward,
+    run_transfer,
+)
+from skorodist.topology import uniform_modulus
 
 TOL = 1e-9
 SEED = 20260809
@@ -53,34 +51,21 @@ MAXC = COORDS.metric({1, 2})
 EUCLID = euclidean_family()
 
 
-def criterion1_pairs():
-    """500 seeded pairs: m, p <= 4, jump times on {k/20}, values alternating
-    between the scalar levels {0, 0.3, 1} and uniform [0, 1]^2."""
-    rng = random.Random(SEED)
-    pairs = []
-    for case in range(500):
-        if case % 2 == 0:
-            vs, metric = scalar_level_value, ABS
-        else:
-            vs, metric = unit_square_value, MAXC
-        x = random_step_function(rng, 4, vs)
-        y = random_step_function(rng, 4, vs)
-        pairs.append((x, y, metric))
-    return pairs
-
-
 @pytest.fixture(scope="module")
 def c1_results():
-    return [(x, y, d, skorohod_distance(x, y, d)) for x, y, d in criterion1_pairs()]
+    """The 500 seeded pairs of criterion 1: m, p <= 4, jump times on {k/20},
+    values alternating between the scalar levels {0, 0.3, 1} and uniform
+    [0, 1]^2."""
+    rng = random.Random(SEED)
+    pairs = [_pair_sampler(rng, case, 4) for case in range(500)]
+    return [(x, y, d, skorohod_distance(x, y, d)) for x, y, d in pairs]
 
 
-def test_criterion_1_oracle_equivalence(c1_results):
+def test_criterion_1_oracle_equivalence():
+    # run_oracle draws the same 500 pairs as c1_results and asserts equal
+    # distances, agreement at every candidate threshold, and bisection
     start = time.time()
-    for x, y, d, res in c1_results:
-        oracle = OracleInstance(x, y, d)
-        assert abs(res.value - oracle.distance()) <= TOL
-        for eps in candidate_thresholds(x, y, d):
-            assert feasible(x, y, eps, d)[0] == oracle.feasible_at(eps)
+    assert run_oracle(seed=SEED, trials=500)["pass"]
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(f"\n[acceptance] criterion 1 (oracle equivalence, 500 pairs, "
@@ -129,7 +114,7 @@ def test_criterion_4_certificate_soundness(c1_results, tmp_path):
         assert cli_main(argv) == 0
 
     for x, y, d, res in c1_results:
-        audit(x, y, res, use_family=d is MAXC)
+        audit(x, y, res, use_family=d == MAXC)
     grid = [k / 10 for k in range(1, 10)]
     count = len(c1_results)
     for a in grid:
@@ -142,23 +127,14 @@ def test_criterion_4_certificate_soundness(c1_results, tmp_path):
 
 
 def test_criterion_5_transfer():
-    rng = random.Random(SEED + 5)
-    configs = [
-        (EUCLID, COORDS, frozenset({1})),  # coarse euclidean, fine coordinates
-        (COORDS, EUCLID, COORDS.full_index()),  # roles swapped
-    ]
+    # 50 functions with <= 5 pieces, 100 conditioned trials per check, both
+    # directions (coarse euclidean under fine coordinates, and swapped)
     checked = 0
-    for _ in range(50):
-        x = random_step_function(rng, 4, lambda r: box_value(r))  # <= 5 pieces
-        sampler = conditioned_perturbation_sampler(x)
-        for eps in (0.2, 0.05):
-            for coarse, fine, index in configs:
-                report = t1_transfer_check(
-                    x, coarse, fine, index, eps, sampler, 100, rng=rng
-                )
-                assert report.trials == 100
-                assert report.passed and not report.violations
-                checked += report.trials
+    for eps in (0.2, 0.05):
+        result = run_transfer(seed=SEED + 5, x_count=50, trials=100, eps=eps)
+        assert result["cases"] == 10_000
+        assert result["pass"]
+        checked += result["cases"]
     print(f"\n[acceptance] criterion 5 (transfer, {checked} conditioned "
           f"samples, zero violations): PASS")
 

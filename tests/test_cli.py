@@ -142,6 +142,73 @@ def test_certificate_rejects_non_finite_distance(token, tmp_path, capsys):
     assert captured.err == f"invalid certificate: non-finite token '{token}' in input\n"
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "distance, knots",
+    [
+        ("1e400", "[[0,0],[1,1]]"),
+        ("-1e400", "[[0,0],[1,1]]"),
+        (BIG_INT, "[[0,0],[1,1]]"),
+        ("0.5", f"[[0,0],[{BIG_INT},0.5],[1,1]]"),
+    ],
+    ids=["1e400", "-1e400", "big-int-distance", "big-int-knot"],
+)
+def test_certificate_rejects_numbers_out_of_float_range(distance, knots, tmp_path, capsys):
+    trace = tmp_path / "x.json"
+    trace.write_text(json.dumps({"times": [0.0], "values": [[0.0]]}))
+    res = tmp_path / "res.json"
+    res.write_text('{"distance": %s, "certificate": {"knots": %s}}' % (distance, knots))
+    assert main(["certificate-check", str(trace), str(trace), str(res)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid certificate: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        '{"times": [0], "values": [[%s]]}' % BIG_INT,
+        '{"times": [0], "values": [%s]}' % BIG_INT,
+        '{"times": [0, %s], "values": [[0], [1]]}' % BIG_INT,
+        '{"times": [0], "values": [[1e400]]}',
+    ],
+    ids=["big-int-coordinate", "big-int-scalar", "big-int-time", "1e400-coordinate"],
+)
+def test_trace_rejects_numbers_out_of_float_range(trace, tmp_path, capsys):
+    x = tmp_path / "x.json"
+    x.write_text(trace)
+    assert main(["distance", str(x), str(x)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"kind": "scaled"},
+        {"kind": "coordinate"},
+        {"kind": "max_of", "parts": 5},
+        {"kind": "scaled", "factor": [1], "inner": {"kind": "euclidean"}},
+        {"kind": "pulled_back", "map": {"kind": "project"}, "inner": {"kind": "euclidean"}},
+    ],
+    ids=["scaled-no-factor", "coordinate-no-k", "max-of-int-parts", "scaled-list-factor",
+         "project-no-coords"],
+)
+def test_distance_rejects_malformed_family_config(generator, traces, tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"generators": [generator]}))
+    assert main(["distance", traces["x"], traces["y"], "--family", str(fam)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: bad family config: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_distance_rejects_an_overflowing_metric(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

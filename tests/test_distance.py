@@ -409,7 +409,7 @@ def test_pseudometric_axioms_of_the_distance():
         assert skorohod_distance(x, x, d).value == 0.0
         dxy = skorohod_distance(x, y, d).value
         dyx = skorohod_distance(y, x, d).value
-        assert abs(dxy - dyx) <= 1e-9
+        assert dxy == dyx
         dxz = skorohod_distance(x, z, d).value
         dyz = skorohod_distance(y, z, d).value
         assert dxz <= dxy + dyz + 1e-9
@@ -465,7 +465,7 @@ def test_representation_independence():
         x_padded = make_step(padded_times, [x(t) for t in padded_times])
         a = skorohod_distance(x, y, ABS).value
         b = skorohod_distance(x_padded, y, ABS).value
-        assert abs(a - b) <= 1e-9
+        assert a == b
 
 
 # --- property: the bracketed search returns the least feasible candidate ---
