@@ -244,12 +244,14 @@ class _BandedDP:
     bitset per row.  The piece distances are evaluated lazily, once per
     solve, for the states that some probe's band reaches: each row of them
     grows at either end through one ``Pseudometric.table`` of the solve (a
-    pairwise loop for a plain callable d).
+    pairwise loop for a plain callable d).  Construction checks that x and y
+    share a value space, for every entry point that builds one.
     """
 
     __slots__ = ("xv", "dist_rows", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
+        require_same_space(x.values[0], y.values[0])
         self.xv, yv = x.values, y.values
         self.dist_rows = (
             d.table(self.xv, yv)
@@ -475,10 +477,9 @@ def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     exactly "infimum <= eps", decided without tolerance: the distance is the
     least float eps at which it holds.
     """
-    require_same_space(x.values[0], y.values[0])
+    dp = _BandedDP(x, y, d)  # checks the value space before eps
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    dp = _BandedDP(x, y, d)
     probed = dp.probe(eps)
     if probed is None:
         return False, None
@@ -493,7 +494,6 @@ def _within(x: StepFunction, y: StepFunction, eps: float, d) -> bool:
     ``distance > eps`` iff not ``_within`` at eps.  A NaN or infinite piece
     distance fails its value check here rather than raising.
     """
-    require_same_space(x.values[0], y.values[0])
     return _BandedDP(x, y, d).within(eps)
 
 
@@ -530,7 +530,6 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     filling the banded feasibility DP.  The certificate's recomputed time and
     value suprema satisfy ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
-    require_same_space(x.values[0], y.values[0])
     dp = _BandedDP(x, y, d)
     value, probed = dp.least_feasible()
     cert = _certificate(dp.events(probed))

@@ -1,9 +1,10 @@
-"""Registry of serializable continuous value maps.
+"""Continuous value maps that a family config can name.
 
-These are the maps available to the pushforward machinery and the CLI; the
-library API additionally accepts arbitrary callables wherever a value map is
-expected.  All maps here act on vector values coordinate-wise or linearly and
-are continuous on their domain.
+These are the maps available to the pushforward machinery and, through
+``map_from_config``, to the CLI's family configs; the library API
+additionally accepts arbitrary callables wherever a value map is expected.
+All maps here act on vector values coordinate-wise or linearly and are
+continuous on their domain.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ def _require_vector(v: Value) -> tuple[float, ...]:
 class Identity:
     def __call__(self, v: Value) -> Value:
         return v
-
-    def to_config(self) -> dict:
-        return {"kind": "identity"}
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,6 @@ class Project:
             )
         return tuple(vec[k - 1] for k in self.coords)
 
-    def to_config(self) -> dict:
-        return {"kind": "project", "coords": list(self.coords)}
-
 
 @dataclass(frozen=True)
 class SquareCoords:
@@ -58,9 +53,6 @@ class SquareCoords:
 
     def __call__(self, v: Value) -> Value:
         return tuple(c * c for c in _require_vector(v))
-
-    def to_config(self) -> dict:
-        return {"kind": "square"}
 
 
 @dataclass(frozen=True)
@@ -74,9 +66,6 @@ class Clamp:
 
     def __call__(self, v: Value) -> Value:
         return tuple(min(max(c, self.lo), self.hi) for c in _require_vector(v))
-
-    def to_config(self) -> dict:
-        return {"kind": "clamp", "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -105,13 +94,6 @@ class AffineMap:
             sum(r * c for r, c in zip(row, vec)) + off
             for row, off in zip(self.matrix, self.offset)
         )
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "affine",
-            "matrix": [list(row) for row in self.matrix],
-            "offset": list(self.offset),
-        }
 
 
 def map_from_config(obj: dict):

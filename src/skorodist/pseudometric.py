@@ -54,9 +54,6 @@ class Pseudometric:
     def row(self, a: Value, bs) -> list[float]:
         return self.table((a,), bs)(0, 0, len(bs))
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 def _pairwise_table(d, xs, ys):
     """``table`` of any callable d: one call of d per pair."""
@@ -122,9 +119,6 @@ class Coordinate(Pseudometric):
 
         return rows
 
-    def to_config(self):
-        return {"kind": "coordinate", "k": self.k}
-
 
 @dataclass(frozen=True)
 class Euclidean(Pseudometric):
@@ -141,9 +135,6 @@ class Euclidean(Pseudometric):
 
         return rows
 
-    def to_config(self):
-        return {"kind": "euclidean"}
-
 
 @dataclass(frozen=True)
 class Discrete(Pseudometric):
@@ -156,27 +147,18 @@ class Discrete(Pseudometric):
             _vector_pair(a, b)
         return 0.0 if a == b else 1.0
 
-    def to_config(self):
-        return {"kind": "discrete"}
-
 
 @dataclass(frozen=True)
 class Scaled(Pseudometric):
-    """factor * inner.  A pseudometric only for factor >= 0; negative factors
-    are accepted so that axiom checking has something to catch."""
+    """factor * inner.  A pseudometric only for 0 <= factor < inf.  Other
+    factors are accepted here so that axiom checking has something to catch,
+    but ``metric_from_config`` rejects them: a config is outside input."""
 
     factor: float
     inner: Pseudometric
 
     def __call__(self, a, b):
         return self.factor * self.inner(a, b)
-
-    def to_config(self):
-        return {
-            "kind": "scaled",
-            "factor": self.factor,
-            "inner": self.inner.to_config(),
-        }
 
 
 @dataclass(frozen=True)
@@ -188,12 +170,6 @@ class PulledBack(Pseudometric):
 
     def __call__(self, a, b):
         return self.inner(self.value_map(a), self.value_map(b))
-
-    def to_config(self):
-        to_cfg = getattr(self.value_map, "to_config", None)
-        if to_cfg is None:
-            raise ValueError("value map is not serializable")
-        return {"kind": "pulled_back", "map": to_cfg(), "inner": self.inner.to_config()}
 
 
 @dataclass(frozen=True)
@@ -226,9 +202,6 @@ class MaxOf(Pseudometric):
 
         return rows
 
-    def to_config(self):
-        return {"kind": "max_of", "parts": [p.to_config() for p in self.parts]}
-
 
 def metric_from_config(obj: dict) -> Pseudometric:
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -241,7 +214,10 @@ def metric_from_config(obj: dict) -> Pseudometric:
     if kind == "discrete":
         return Discrete()
     if kind == "scaled":
-        return Scaled(float(obj["factor"]), metric_from_config(obj["inner"]))
+        factor = float(obj["factor"])
+        if not 0.0 <= factor < math.inf:
+            raise ValueError(f"scaled factor must be finite and >= 0, got {factor}")
+        return Scaled(factor, metric_from_config(obj["inner"]))
     if kind == "pulled_back":
         return PulledBack(map_from_config(obj["map"]), metric_from_config(obj["inner"]))
     if kind == "max_of":
@@ -264,15 +240,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "checked": self.checked,
-            "pass": self.ok,
-            "violations": [
-                {"kind": v.kind, "detail": v.detail} for v in self.violations
-            ],
-        }
 
 
 def check_axioms(d, samples) -> AxiomReport:
@@ -353,9 +320,6 @@ class PseudometricFamily:
             if self.generators[i - 1](a, b) > 0.0:
                 return frozenset({i})
         return None
-
-    def to_config(self) -> dict:
-        return {"generators": [g.to_config() for g in self.generators]}
 
 
 def family_from_config(obj: dict) -> PseudometricFamily:

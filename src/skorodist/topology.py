@@ -34,7 +34,8 @@ Three procedures, all operating on finite data:
   pushed-forward pair under zeta and the Skorohod distance of the original
   pair under the pulled-back pseudometric zeta(psi(.), psi(.)).  The identity
   is an equality of two instances of the same infimum, not an approximation,
-  and both sides are exact, so it is asserted with ``==``.
+  and both sides are exact, so it is asserted with ``==``.  A row of the check
+  holds just these two sides: two distance solves per element x_n.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ MAX_EPS = sys.float_info.max / 8
 # radius search halves at most this many times before giving up.
 _MIN_HITS = 20
 _MAX_DEPTH = 40
+# Candidates drawn per vector ball.
+_SAMPLES = 2000
+# t1_transfer_check draws at most this many proposals per requested trial.
+_MAX_ATTEMPTS_FACTOR = 200
 
 
 class ModulusValidationError(RuntimeError):
@@ -80,17 +85,12 @@ class Modulus:
         if not self.delta > 0:
             raise ValueError("delta must be positive")
 
-    def to_json_obj(self) -> dict:
-        return {"index": sorted(self.index), "delta": self.delta}
 
-
-def _candidates_near(z, r_tight, r_wide, rng, n, alphabet):
-    """Candidates around z: labels enumerate the alphabet (the label points
-    of K); vectors draw each coordinate from the tight or the wide radius
-    independently.  The mixed radii keep slab-shaped balls populated at any
-    tight radius while still probing directions the tight scale would hide."""
-    if isinstance(z, str):
-        return list(alphabet)
+def _candidates_near(z, r_tight, r_wide, rng, n):
+    """n candidates around the vector z, each coordinate drawn from the tight
+    or the wide radius independently.  The mixed radii keep slab-shaped balls
+    populated at any tight radius while still probing directions the tight
+    scale would hide."""
     # rng.uniform(-r, r) written out as CPython computes it, -r + (r - -r) *
     # random(), so that every coordinate and the RNG stream are unchanged.
     draw = rng.random
@@ -106,22 +106,16 @@ def _candidates_near(z, r_tight, r_wide, rng, n, alphabet):
     return out
 
 
-def _ball_ok(d_index, z, ball_radius, rho, bound, rng, samples, alphabet):
-    """Sample the ball {d_index(z, .) < ball_radius} and test rho < bound on
-    every hit.  The wide radius reaches rho ~ bound, so a direction the family
-    does not see shows up as a violation instead of being missed."""
-    cands = _candidates_near(
-        z, ball_radius, ball_radius + 2.0 * bound, rng, samples, alphabet
-    )
-    hits = _hits(d_index, z, cands, ball_radius)
-    # A label ball is computed exactly over the alphabet: no minimum count.
-    if len(hits) < _MIN_HITS and not isinstance(z, str):
-        return False
-    return all(r < bound for r in rho.row(z, hits))
-
-
-def _hits(d_index, z, cands, radius):
-    """The candidates inside the open d_index ball of ``radius`` around z."""
+def _ball(d_index, z, radius, bound, rng, points):
+    """The points of the open d_index ball of ``radius`` around z that the
+    check of rho < bound visits.  A label ball is exact: the label points of
+    K.  A vector ball is sampled at the tight radius and at the wide radius
+    ``radius + 2 * bound``, which reaches rho ~ bound, so a direction the
+    family does not see shows up as a violation instead of being missed."""
+    if isinstance(z, str):
+        cands = points
+    else:
+        cands = _candidates_near(z, radius, radius + 2.0 * bound, rng, _SAMPLES)
     return [y for y, d in zip(cands, d_index.row(z, cands)) if d < radius]
 
 
@@ -131,7 +125,6 @@ def uniform_modulus(
     rho,
     eps: float,
     rng=None,
-    samples: int = 2000,
 ) -> Modulus:
     """Find (index, delta) with: z in K and family_index(z, y) < delta imply
     rho(z, y) < eps.
@@ -143,7 +136,7 @@ def uniform_modulus(
     for the family's topology (e.g. a family missing a coordinate that rho
     sees).
 
-    Vector balls are sampled: ``samples`` candidates per ball, of which at
+    Vector balls are sampled: ``_SAMPLES`` candidates per ball, of which at
     least ``_MIN_HITS`` must hit it, over at most ``_MAX_DEPTH`` halvings of
     the radius.  Label balls are computed exactly over the label points of K.
     """
@@ -159,7 +152,7 @@ def uniform_modulus(
     for idx in family.indices():
         if family.metric(idx) == rho:
             mod = Modulus(idx, eps / 2.0)
-            _post_validate(family, points, rho, eps, mod, rng, samples, points)
+            _post_validate(family, points, rho, eps, mod, rng)
             return mod
 
     # Fast path: Euclidean target under a full coordinate family; the
@@ -174,7 +167,7 @@ def uniform_modulus(
         if all(k in by_coord for k in range(1, dim + 1)):
             idx = frozenset(by_coord[k] for k in range(1, dim + 1))
             mod = Modulus(idx, eps / (2.0 * math.sqrt(dim)))
-            _post_validate(family, points, rho, eps, mod, rng, samples, points)
+            _post_validate(family, points, rho, eps, mod, rng)
             return mod
 
     # General path, following the covering construction: for every z find
@@ -187,7 +180,11 @@ def uniform_modulus(
     for z in points:
         dz = eps / 2.0
         for _ in range(_MAX_DEPTH):
-            if _ball_ok(d_index, z, 2.0 * dz, rho, eps / 2.0, rng, samples, points):
+            hits = _ball(d_index, z, 2.0 * dz, eps / 2.0, rng, points)
+            # A label ball is exact, so it needs no minimum count of hits.
+            if (len(hits) >= _MIN_HITS or isinstance(z, str)) and all(
+                r < eps / 2.0 for r in rho.row(z, hits)
+            ):
                 break
             dz /= 2.0
         else:
@@ -197,17 +194,14 @@ def uniform_modulus(
             )
         delta = dz if delta is None else min(delta, dz)
     mod = Modulus(idx, delta)
-    _post_validate(family, points, rho, eps, mod, rng, samples, points)
+    _post_validate(family, points, rho, eps, mod, rng)
     return mod
 
 
-def _post_validate(family, points, rho, eps, mod, rng, samples, alphabet):
+def _post_validate(family, points, rho, eps, mod, rng):
     d_index = family.metric(mod.index)
     for z in points:
-        cands = _candidates_near(
-            z, mod.delta, mod.delta + 2.0 * eps, rng, samples, alphabet
-        )
-        hits = _hits(d_index, z, cands, mod.delta)
+        hits = _ball(d_index, z, mod.delta, eps, rng, points)
         for y, r in zip(hits, rho.row(z, hits)):
             if not r < eps:
                 raise ModulusValidationError(
@@ -223,25 +217,6 @@ class TransferReport:
     violations: list
     modulus: Modulus
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pass": self.passed,
-            "trials": self.trials,
-            "modulus": self.modulus.to_json_obj(),
-            "violations": [
-                {
-                    "y": y.to_json_obj(),
-                    "fine_distance": zeta_val,
-                    "coarse_distance": d_val,
-                }
-                for y, zeta_val, d_val in self.violations
-            ],
-        }
-
 
 def t1_transfer_check(
     x: StepFunction,
@@ -252,37 +227,34 @@ def t1_transfer_check(
     sampler,
     trials: int,
     rng=None,
-    tol: float = 1e-9,
-    max_attempts_factor: int = 200,
-    modulus_samples: int = 2000,
 ) -> TransferReport:
     """Empirical transfer check for one coarse index.
 
     Computes (j, delta) = ``uniform_modulus(fine, range of x, coarse index
     metric, eps)``, then draws step functions from ``sampler`` conditioned by
     rejection on fine-Skorohod distance below min(delta, eps) and records
-    every accepted y whose coarse-Skorohod distance to x exceeds eps + tol.
+    every accepted y whose coarse-Skorohod distance to x exceeds eps.
 
     ``sampler`` is called as ``sampler(rng, bound)`` with the conditioning
     radius, so proposals can be scaled sensibly; acceptance is still decided
     here, by one feasibility probe.  As the distance is the least float at
     which the probe succeeds, y is accepted iff the fine probe succeeds at
     the float below ``bound``, and is a violation iff the coarse probe fails
-    at eps + tol; only a violation's report computes the two distances.  A
+    at eps exactly; only a violation's report computes the two distances.  A
     NaN or infinite piece distance fails its probe's value check instead of
     raising ``NonFiniteDistance``, which only a violation's report can raise.
     """
     rng = rng if rng is not None else random.Random(0)
     rho = coarse.metric(index)
     points = x.range_closure()
-    mod = uniform_modulus(fine, points, rho, eps, rng=rng, samples=modulus_samples)
+    mod = uniform_modulus(fine, points, rho, eps, rng=rng)
     zeta = fine.metric(mod.index)
     bound = min(mod.delta, eps)
     below = math.nextafter(bound, -1.0)  # distance < bound iff <= below
     accepted = 0
     attempts = 0
     violations = []
-    max_attempts = trials * max_attempts_factor
+    max_attempts = trials * _MAX_ATTEMPTS_FACTOR
     while accepted < trials:
         if attempts >= max_attempts:
             raise SamplerStarvation(
@@ -294,7 +266,7 @@ def t1_transfer_check(
         if not _within(x, y, below, zeta):
             continue
         accepted += 1
-        if not _within(x, y, eps + tol, rho):
+        if not _within(x, y, eps, rho):
             zeta_val = skorohod_distance(x, y, zeta).value
             violations.append((y, zeta_val, skorohod_distance(x, y, rho).value))
     return TransferReport(trials=accepted, violations=violations, modulus=mod)
@@ -313,7 +285,6 @@ def pushforward(value_map, x: StepFunction) -> StepFunction:
 @dataclass(frozen=True)
 class T2Row:
     n: int
-    base_distance: float  # max over the domain family's indices
     pulled_back_distance: float
     pushed_distance: float
 
@@ -334,29 +305,23 @@ def t2_continuity_check(
     value_map,
     x: StepFunction,
     sequence,
-    fam_domain: PseudometricFamily,
     fam_image: PseudometricFamily,
     index,
 ) -> T2Report:
     """Track a shrinking sequence x_n -> x through a pushforward.
 
-    Per row: the domain-family distance max over all indices, the distance of
-    (x_n, x) under the pulled-back pseudometric, and the distance of the
-    pushed-forward pair under the image index metric.  The last two are the
-    same infimum written two ways, each computed exactly, so they must be
-    equal as floats.
+    Per row: the distance of (x_n, x) under the pulled-back pseudometric, and
+    the distance of the pushed-forward pair under the image index metric.
+    They are the same infimum written two ways, each computed exactly, so
+    they must be equal as floats.
     """
     zeta = fam_image.metric(index)
     pulled = PulledBack(value_map, zeta)
     pushed_x = pushforward(value_map, x)
     rows = []
     for n, xn in enumerate(sequence, start=1):
-        base = max(
-            skorohod_distance(xn, x, fam_domain.metric(i)).value
-            for i in fam_domain.indices()
-        )
         pb = skorohod_distance(xn, x, pulled).value
         pf = skorohod_distance(pushforward(value_map, xn), pushed_x, zeta).value
-        rows.append(T2Row(n, base, pb, pf))
+        rows.append(T2Row(n, pb, pf))
     identity_ok = all(r.pushed_distance == r.pulled_back_distance for r in rows)
     return T2Report(rows, identity_ok)

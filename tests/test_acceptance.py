@@ -48,6 +48,10 @@ SEED = 20260809
 ABS = Euclidean()
 COORDS = coordinate_family(2)
 MAXC = COORDS.metric({1, 2})
+# The README's family.json: the coordinate family of the plane.
+FAMILY_JSON = """{"space": {"dim": 2},
+ "generators": [{"kind": "coordinate", "k": 1}, {"kind": "coordinate", "k": 2}]}
+"""
 EUCLID = euclidean_family()
 
 
@@ -109,7 +113,7 @@ def test_criterion_4_certificate_soundness(c1_results, tmp_path):
         ]
         if use_family:
             fam = tmp_path / "family.json"
-            fam.write_text(json.dumps(COORDS.to_config()))
+            fam.write_text(FAMILY_JSON)
             argv += ["--family", str(fam), "--metric", "1,2"]
         assert cli_main(argv) == 0
 

@@ -3,12 +3,42 @@ name that the benchmark in ``perfbench/`` reads from the package."""
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import skorodist
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The parameter names of every public callable, so that a new option shows up
+# here as a test edit.  None marks an exception, which takes a message only.
+SIGNATURES = {
+    "CertificateError": None,
+    "Coordinate": "k",
+    "Discrete": "",
+    "DistanceResult": "value certificate time_sup value_sup",
+    "Euclidean": "",
+    "MaxOf": "parts",
+    "Pseudometric": "",
+    "StepFunction": "times values",
+    "TimeChange": "knots",
+    "TraceParseError": None,
+    "ValueSpaceMismatch": None,
+    "bisect_distance": "x y d",
+    "check_certificate": "x y d claimed cert",
+    "coordinate_family": "dim",
+    "euclidean_family": "",
+    "family_from_config": "obj",
+    "feasible": "x y eps d",
+    "make_step": "times values",
+    "oracle_distance": "x y d",
+    "pushforward": "value_map x",
+    "skorohod_distance": "x y d",
+    "t1_transfer_check": "x coarse fine index eps sampler trials rng",
+    "uniform_distance": "x y d",
+    "uniform_modulus": "family K rho eps rng",
+}
 
 
 def readme_api_names():
@@ -41,3 +71,13 @@ def test_names_the_benchmark_reads_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, _, _ in tracing._PATCHES:
         assert attr in vars(getattr(lib, module)), f"{module}.{attr}"
+
+
+def test_public_signatures_are_pinned():
+    assert set(SIGNATURES) == set(skorodist.__all__)
+    for name, params in SIGNATURES.items():
+        obj = getattr(skorodist, name)
+        if params is None:
+            assert issubclass(obj, Exception) and "__init__" not in vars(obj), name
+        else:
+            assert list(inspect.signature(obj).parameters) == params.split(), name

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,9 +196,15 @@ def test_trace_rejects_numbers_out_of_float_range(trace, tmp_path, capsys):
         {"kind": "max_of", "parts": 5},
         {"kind": "scaled", "factor": [1], "inner": {"kind": "euclidean"}},
         {"kind": "pulled_back", "map": {"kind": "project"}, "inner": {"kind": "euclidean"}},
+        # not pseudometrics: factor -1 puts x and y, which differ, at distance 0
+        *(
+            {"kind": "scaled", "factor": f, "inner": {"kind": "euclidean"}}
+            for f in (-1, -1e-300, math.nan, math.inf)
+        ),
     ],
     ids=["scaled-no-factor", "coordinate-no-k", "max-of-int-parts", "scaled-list-factor",
-         "project-no-coords"],
+         "project-no-coords", "scaled-negative", "scaled-tiny-negative", "scaled-nan",
+         "scaled-inf"],
 )
 def test_distance_rejects_malformed_family_config(generator, traces, tmp_path, capsys):
     fam = tmp_path / "family.json"

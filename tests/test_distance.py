@@ -166,6 +166,20 @@ def test_feasible_rejects_mismatched_spaces():
         feasible(ZERO, ONE, -0.1, ABS)
 
 
+def test_every_entry_point_checks_the_value_space():
+    # A metric that reads only the first coordinate would put these at 0.
+    x, y = make_step([0.0], [[0.0]]), make_step([0.0], [[0.0, 1.0]])
+    first = lambda a, b: abs(a[0] - b[0])  # noqa: E731
+    for run in (
+        skorohod_distance,
+        bisect_distance,
+        lambda x, y, d: _within(x, y, 0.0, d),
+        lambda x, y, d: feasible(x, y, -0.1, d),  # the space before eps
+    ):
+        with pytest.raises(ValueSpaceMismatch):
+            run(x, y, first)
+
+
 # --- skorohod_distance ------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch
-from skorodist.maps import Identity, Project, SquareCoords
+from skorodist.maps import AffineMap, Clamp, Identity, Project, SquareCoords, map_from_config
 from skorodist.pseudometric import (
     Coordinate,
     Discrete,
@@ -124,28 +124,41 @@ def test_separates_points():
     assert PseudometricFamily([Euclidean()]).separates_points((0.0, 0.0), (0.0, 1.0)) == frozenset({1})
 
 
-def test_family_config_round_trip():
-    config = {
-        "space": {"dim": 2},
-        "generators": [{"kind": "coordinate", "k": 1}, {"kind": "coordinate", "k": 2}],
-    }
-    fam = family_from_config(config)
-    assert fam.generators == (Coordinate(1), Coordinate(2))
-    again = family_from_config(fam.to_config())
-    assert again == fam
-
-
-def test_metric_config_round_trip():
-    metrics = [
-        Euclidean(),
-        Discrete(),
-        Coordinate(2),
-        Scaled(2.0, Euclidean()),
-        MaxOf((Coordinate(1), Euclidean())),
-        PulledBack(SquareCoords(), Euclidean()),
+def test_every_config_kind_parses():
+    maps = [
+        ({"kind": "identity"}, Identity()),
+        ({"kind": "project", "coords": [2, 1]}, Project((2, 1))),
+        ({"kind": "square"}, SquareCoords()),
+        ({"kind": "clamp", "lo": -1.0, "hi": 1.0}, Clamp(-1.0, 1.0)),
+        (
+            {"kind": "affine", "matrix": [[1.0, 0.5], [0.0, 2.0]], "offset": [0.1, -0.2]},
+            AffineMap(((1.0, 0.5), (0.0, 2.0)), (0.1, -0.2)),
+        ),
     ]
-    for m in metrics:
-        assert metric_from_config(m.to_config()) == m
+    metrics = [
+        ({"kind": "coordinate", "k": 2}, Coordinate(2)),
+        ({"kind": "euclidean"}, Euclidean()),
+        ({"kind": "discrete"}, Discrete()),
+        (
+            {"kind": "scaled", "factor": 2.0, "inner": {"kind": "euclidean"}},
+            Scaled(2.0, Euclidean()),
+        ),
+        (
+            {"kind": "max_of", "parts": [{"kind": "coordinate", "k": 1}, {"kind": "euclidean"}]},
+            MaxOf((Coordinate(1), Euclidean())),
+        ),
+        *(
+            ({"kind": "pulled_back", "map": cfg, "inner": {"kind": "euclidean"}},
+             PulledBack(m, Euclidean()))
+            for cfg, m in maps
+        ),
+    ]
+    for cfg, m in maps:
+        assert map_from_config(cfg) == m
+    for cfg, m in metrics:
+        assert metric_from_config(cfg) == m
+    config = {"space": {"dim": 2}, "generators": [cfg for cfg, _ in metrics]}
+    assert family_from_config(config) == PseudometricFamily(tuple(m for _, m in metrics))
 
 
 def test_invalid_configs():
