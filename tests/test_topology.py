@@ -5,7 +5,14 @@ import pytest
 
 from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import skorohod_distance
-from skorodist.maps import AffineMap, Identity, Project, SquareCoords
+from skorodist.maps import (
+    AffineMap,
+    Clamp,
+    Identity,
+    Project,
+    SquareCoords,
+    map_from_config,
+)
 from skorodist.pseudometric import (
     Coordinate,
     Discrete,
@@ -353,6 +360,21 @@ def test_pushforward_commutes_with_time_change():
         right = compose_time_change(pushforward(SquareCoords(), x), lam).normalize()
         assert left.values == right.values
         assert left.times == pytest.approx(right.times, abs=1e-12)
+
+
+def test_map_registry_round_trip():
+    maps = [
+        ({"kind": "identity"}, Identity()),
+        ({"kind": "project", "coords": [2, 1]}, Project((2, 1))),
+        ({"kind": "square"}, SquareCoords()),
+        ({"kind": "clamp", "lo": -1.0, "hi": 1.0}, Clamp(-1.0, 1.0)),
+        (
+            {"kind": "affine", "matrix": [[1.0, 0.5], [0.0, 2.0]], "offset": [0.1, -0.2]},
+            AffineMap(((1.0, 0.5), (0.0, 2.0)), (0.1, -0.2)),
+        ),
+    ]
+    for cfg, m in maps:
+        assert map_from_config(cfg) == m
 
 
 def test_affine_map_applies():
