@@ -27,7 +27,7 @@ from .distance import (
 )
 from .pseudometric import Discrete, Euclidean, family_from_config
 from .suites import SUITES, run_example_k, run_suites
-from .topology import MAX_EPS
+from .topology import MAX_EPS, MIN_EPS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -138,8 +138,10 @@ def _modulus_eps(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 < value <= MAX_EPS:
-        raise argparse.ArgumentTypeError(f"must lie in (0, {MAX_EPS}], got {text}")
+    if not MIN_EPS <= value <= MAX_EPS:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{MIN_EPS}, {MAX_EPS}], got {text}"
+        )
     return value
 
 

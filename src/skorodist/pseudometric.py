@@ -307,9 +307,6 @@ class PseudometricFamily:
             return chosen[0]
         return MaxOf(chosen)
 
-    def evaluate(self, index, a: Value, b: Value) -> float:
-        return self.metric(index)(a, b)
-
     def separates_points(self, a: Value, b: Value):
         """An index whose metric is positive on (a, b), or None.
 

@@ -5,21 +5,32 @@ Three procedures, all operating on finite data:
 * ``uniform_modulus`` -- given a max-closed family, a finite value set K, a
   target pseudometric rho and eps > 0, produce an index i and delta > 0 such
   that family-distance below delta from a point of K forces rho below eps.
-  For step functions the compact sets that occur are exactly finite ranges,
-  so the covering argument degenerates to iteration over K: per point z a
-  radius delta_z is found by decreasing geometric search, validated by
-  rejection sampling of the scaled ball (the underlying argument is
-  non-constructive in delta_z; sampling is what makes it checkable), and the
-  returned index is the union of the per-point indices with
-  delta = min delta_z.  Analytic fast paths cover rho equal to an index
-  metric (delta = eps/2) and Euclidean rho under a full coordinate family
-  (delta = eps/(2*sqrt(dim)), since the Euclidean norm is at most sqrt(dim)
-  times the coordinate maximum).  Every returned modulus, fast path or not,
-  is post-validated by the same sampling.  A ball is evaluated in batches:
-  ``d_index.row(z, candidates)`` over the whole candidate list, then
-  ``rho.row(z, hits)`` over the hits only, so the value space is checked
-  once per candidate list rather than once per sample; the values, the
-  verdicts and the RNG draws are those of the pairwise evaluation.
+  For the built-in kinds the modulus is analytic.  Two fast paths cover rho
+  equal to an index metric (delta = eps/2) and Euclidean rho under a full
+  coordinate family (delta = eps/(2*sqrt(dim)), since the Euclidean norm is
+  at most sqrt(dim) times the coordinate maximum).  Otherwise a structural
+  Lipschitz constant L with rho <= L * d_full is read off the two metrics:
+
+  - L = 1 for rho equal to d or to one of its parts, and for a
+    ``Coordinate`` under ``Euclidean``;
+  - L = sqrt(dim) for ``Euclidean`` under the full coordinate maximum;
+  - L = c * L(r) for ``Scaled(c, r)`` with c >= 0;
+  - the maximum of the parts' L for a ``MaxOf`` target.
+
+  The covering construction asks per point z for a radius delta_z with the
+  d ball of radius 2 * delta_z inside {rho < eps/2}; under rho <= L * d the
+  geometric search eps/2, eps/4, ... stops at the first delta_z with
+  2 * L * delta_z <= eps/2 (eps/4 for L = 1), the same for every z, so no
+  ball is drawn.  For step functions the compact sets that occur are finite
+  ranges, so the covering argument degenerates to iteration over K, and the
+  returned index is the full index.  A label K is covered exactly: its balls
+  are the label points of K.  Only the fallback -- ``PulledBack``, opaque
+  callables, and a rho the rules do not dominate -- samples each vector
+  ball by rejection (the underlying argument is non-constructive in delta_z;
+  sampling is what makes it checkable) and post-validates the result by the
+  same sampling.  A ball is evaluated in batches: ``d_index.row(z,
+  candidates)`` over the whole candidate list, then ``rho.row(z, hits)`` over
+  the hits only.
 
 * ``t1_transfer_check`` -- the transfer mechanism behind topology
   independence, run empirically: with (j, delta) from ``uniform_modulus``
@@ -47,13 +58,23 @@ from dataclasses import dataclass
 
 from .cadlag import StepFunction, make_step
 from .distance import _within, skorohod_distance
-from .pseudometric import Coordinate, Euclidean, PseudometricFamily, PulledBack
+from .pseudometric import (
+    Coordinate,
+    Euclidean,
+    MaxOf,
+    PseudometricFamily,
+    PulledBack,
+    Scaled,
+)
 
 
-# The largest eps that uniform_modulus accepts.  Its sampling radii reach
-# delta + 2 * eps <= 2.5 * eps and the widths drawn over are twice that, so
-# below float max / 8 every radius and width stays finite.
+# The largest eps that uniform_modulus accepts.  The fallback's sampling
+# radii reach delta + 2 * eps <= 2.5 * eps and the widths drawn over are
+# twice that, so below float max / 8 every radius and width stays finite.
 MAX_EPS = sys.float_info.max / 8
+# The smallest: a normal float, so that eps / 2**_MAX_DEPTH and
+# eps / (2 * sqrt(dim)) are still positive floats.
+MIN_EPS = sys.float_info.min
 
 # A vector ball validates only with at least this many sampled hits, and the
 # radius search halves at most this many times before giving up.
@@ -106,17 +127,19 @@ def _candidates_near(z, r_tight, r_wide, rng, n):
     return out
 
 
-def _ball(d_index, z, radius, bound, rng, points):
-    """The points of the open d_index ball of ``radius`` around z that the
-    check of rho < bound visits.  A label ball is exact: the label points of
-    K.  A vector ball is sampled at the tight radius and at the wide radius
-    ``radius + 2 * bound``, which reaches rho ~ bound, so a direction the
-    family does not see shows up as a violation instead of being missed."""
-    if isinstance(z, str):
-        cands = points
-    else:
-        cands = _candidates_near(z, radius, radius + 2.0 * bound, rng, _SAMPLES)
+def _inside(d_index, z, radius, cands):
+    """The candidates in the open d_index ball of ``radius`` around z."""
     return [y for y, d in zip(cands, d_index.row(z, cands)) if d < radius]
+
+
+def _ball(d_index, z, radius, bound, rng):
+    """The sampled points of the open d_index ball of ``radius`` around the
+    vector z that the check of rho < bound visits: candidates at the tight
+    radius and at the wide radius ``radius + 2 * bound``, which reaches rho ~
+    bound, so a direction the family does not see shows up as a violation
+    instead of being missed."""
+    cands = _candidates_near(z, radius, radius + 2.0 * bound, rng, _SAMPLES)
+    return _inside(d_index, z, radius, cands)
 
 
 def uniform_modulus(
@@ -130,35 +153,41 @@ def uniform_modulus(
     rho(z, y) < eps.
 
     K must be a nonempty finite value set (ranges of step functions are),
-    and eps must lie in (0, ``MAX_EPS``], so that every sampling radius is
-    finite.  Raises :class:`ModulusValidationError` when no radius
-    validates, which is the observable signature of rho not being continuous
-    for the family's topology (e.g. a family missing a coordinate that rho
-    sees).
+    and eps must lie in [``MIN_EPS``, ``MAX_EPS``].  Raises
+    :class:`ModulusValidationError` when no radius validates, which is the
+    observable signature of rho not being continuous for the family's
+    topology (e.g. a family missing a coordinate that rho sees).
 
-    Vector balls are sampled: ``_SAMPLES`` candidates per ball, of which at
-    least ``_MIN_HITS`` must hit it, over at most ``_MAX_DEPTH`` halvings of
-    the radius.  Label balls are computed exactly over the label points of K.
+    The modulus is analytic for the built-in kinds and draws nothing from
+    ``rng``: eps/2 when rho is an index metric, eps/(2*sqrt(dim)) for
+    Euclidean rho under a full coordinate family, and else the largest
+    eps/2**k, 1 <= k <= ``_MAX_DEPTH``, with 2 * L * delta <= eps/2 for a
+    Lipschitz constant L of rho over the full index metric d: L = 1 for rho
+    equal to d or to a part of it and for a ``Coordinate`` under
+    ``Euclidean``, sqrt(dim) for ``Euclidean`` under the full coordinate
+    maximum, c * L(r) for ``Scaled(c, r)`` with c >= 0, and the maximum over
+    the parts of a ``MaxOf`` target.  Label balls are computed exactly over
+    the label points of K.  Only the fallback samples: vector balls of
+    ``_SAMPLES`` candidates, of which at least ``_MIN_HITS`` must hit, over
+    at most ``_MAX_DEPTH`` halvings of the radius, with post-validation.
     """
     points = sorted(K, key=repr)
     if not points:
         raise ValueError("K must be nonempty")
-    if not 0 < eps <= MAX_EPS:
-        raise ValueError(f"eps must lie in (0, {MAX_EPS}], got {eps}")
-    rng = rng if rng is not None else random.Random(0)
+    if not MIN_EPS <= eps <= MAX_EPS:
+        raise ValueError(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
     # Fast path: rho is itself one of the family's index metrics, so the ball
     # of radius eps/2 around any point is contained in {rho < eps}.
     for idx in family.indices():
         if family.metric(idx) == rho:
-            mod = Modulus(idx, eps / 2.0)
-            _post_validate(family, points, rho, eps, mod, rng)
-            return mod
+            return _in_space(family, points, rho, Modulus(idx, eps / 2.0))
 
+    labels = isinstance(points[0], str)
+    dim = None if labels else max(map(len, points))
     # Fast path: Euclidean target under a full coordinate family; the
     # Euclidean norm is at most sqrt(dim) times the coordinate maximum.
-    if isinstance(rho, Euclidean) and not isinstance(points[0], str):
-        dim = len(points[0])
+    if isinstance(rho, Euclidean) and not labels:
         by_coord = {
             g.k: pos
             for pos, g in enumerate(family.generators, start=1)
@@ -167,8 +196,7 @@ def uniform_modulus(
         if all(k in by_coord for k in range(1, dim + 1)):
             idx = frozenset(by_coord[k] for k in range(1, dim + 1))
             mod = Modulus(idx, eps / (2.0 * math.sqrt(dim)))
-            _post_validate(family, points, rho, eps, mod, rng)
-            return mod
+            return _in_space(family, points, rho, mod)
 
     # General path, following the covering construction: for every z find
     # delta_z with ball(d_index, z, 2*delta_z) inside {rho(., z) < eps/2} by
@@ -176,32 +204,82 @@ def uniform_modulus(
     # radius.
     idx = family.full_index()
     d_index = family.metric(idx)
+    lip = None if labels else _lipschitz(rho, d_index, dim)
+    if lip is not None:
+        dz = eps / 2.0
+        for _ in range(_MAX_DEPTH):
+            if 2.0 * lip * dz <= eps / 2.0:
+                return _in_space(family, points, rho, Modulus(idx, dz))
+            dz /= 2.0
+        raise _no_radius(dz, points[0])
+    rng = rng if rng is not None else random.Random(0)
     delta = None
     for z in points:
         dz = eps / 2.0
         for _ in range(_MAX_DEPTH):
-            hits = _ball(d_index, z, 2.0 * dz, eps / 2.0, rng, points)
-            # A label ball is exact, so it needs no minimum count of hits.
-            if (len(hits) >= _MIN_HITS or isinstance(z, str)) and all(
+            if labels:
+                # exact: the label points of K, so no minimum count of hits
+                hits = _inside(d_index, z, 2.0 * dz, points)
+            else:
+                hits = _ball(d_index, z, 2.0 * dz, eps / 2.0, rng)
+            if (labels or len(hits) >= _MIN_HITS) and all(
                 r < eps / 2.0 for r in rho.row(z, hits)
             ):
                 break
             dz /= 2.0
         else:
-            raise ModulusValidationError(
-                f"no radius down to {dz} validated around {z!r}; "
-                "rho is not controlled by the family there"
-            )
+            raise _no_radius(dz, z)
         delta = dz if delta is None else min(delta, dz)
     mod = Modulus(idx, delta)
-    _post_validate(family, points, rho, eps, mod, rng)
+    if not labels:
+        _post_validate(family, points, rho, eps, mod, rng)
+    return mod
+
+
+def _no_radius(dz, z):
+    return ModulusValidationError(
+        f"no radius down to {dz} validated around {z!r}; "
+        "rho is not controlled by the family there"
+    )
+
+
+def _lipschitz(rho, d, dim):
+    """An L with rho <= L * d on dim-dimensional vectors, by the structural
+    rules of the module docstring, or None when they do not apply."""
+    parts = d.parts if isinstance(d, MaxOf) else (d,)
+    if rho == d or rho in parts:
+        return 1.0
+    if isinstance(rho, Scaled):
+        inner = _lipschitz(rho.inner, d, dim)
+        # a negative or NaN factor is no pseudometric: leave it to sampling
+        return None if inner is None or not rho.factor >= 0 else rho.factor * inner
+    if isinstance(rho, MaxOf):
+        bounds = [_lipschitz(p, d, dim) for p in rho.parts]
+        return None if None in bounds else max(bounds)
+    if isinstance(rho, Coordinate) and Euclidean() in parts:
+        return 1.0
+    if isinstance(rho, Euclidean) and all(
+        Coordinate(k) in parts for k in range(1, dim + 1)
+    ):
+        return math.sqrt(dim)
+    return None
+
+
+def _in_space(family, points, rho, mod):
+    """mod, once rho and the index metric have been evaluated at (z, z) for
+    every z in K: a value outside their space raises ValueSpaceMismatch here,
+    as it does in a sampled ball."""
+    d = family.metric(mod.index)
+    for z in points:
+        d(z, z)
+        rho(z, z)
     return mod
 
 
 def _post_validate(family, points, rho, eps, mod, rng):
     d_index = family.metric(mod.index)
     for z in points:
-        hits = _ball(d_index, z, mod.delta, eps, rng, points)
+        hits = _ball(d_index, z, mod.delta, eps, rng)
         for y, r in zip(hits, rho.row(z, hits)):
             if not r < eps:
                 raise ModulusValidationError(

@@ -281,6 +281,8 @@ def test_console_script_entry_point(traces):
         ("--eps", "nan"),
         ("--eps", "inf"),
         ("--eps", "1e308"),
+        ("--eps", "5e-324"),
+        ("--eps", "1e-310"),
         ("--eps", "x"),
         ("--trials", "0"),
         ("--trials", "-3"),

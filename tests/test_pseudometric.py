@@ -61,7 +61,7 @@ def test_max_close_index_metric_is_exact_max():
         for b in pts[10:20]:
             for idx in fam.indices():
                 want = max(fam.generators[i - 1](a, b) for i in idx)
-                assert fam.evaluate(idx, a, b) == want  # bit-exact, no tolerance
+                assert fam.metric(idx)(a, b) == want  # bit-exact, no tolerance
 
 
 def test_domination_axiom_holds_with_equality():
@@ -70,8 +70,8 @@ def test_domination_axiom_holds_with_equality():
     pts = rand_pairs(rng, 30)
     i, j = frozenset({1}), frozenset({2})
     for a, b in zip(pts[:15], pts[15:]):
-        lhs = max(fam.evaluate(i, a, b), fam.evaluate(j, a, b))
-        assert lhs == fam.evaluate(i | j, a, b)
+        lhs = max(fam.metric(i)(a, b), fam.metric(j)(a, b))
+        assert lhs == fam.metric(i | j)(a, b)
 
 
 def test_index_monotonicity():
@@ -82,7 +82,7 @@ def test_index_monotonicity():
         for i in fam.indices():
             for j in fam.indices():
                 if i <= j:
-                    assert fam.evaluate(i, a, b) <= fam.evaluate(j, a, b)
+                    assert fam.metric(i)(a, b) <= fam.metric(j)(a, b)
 
 
 def test_max_dominates_parts():
@@ -90,7 +90,7 @@ def test_max_dominates_parts():
     fam = coordinate_family(2)
     pts = rand_pairs(rng, 20)
     for a, b in zip(pts[:10], pts[10:]):
-        assert fam.evaluate({1, 2}, a, b) >= fam.evaluate({1}, a, b)
+        assert fam.metric({1, 2})(a, b) >= fam.metric({1})(a, b)
 
 
 def test_check_axioms_clean_metrics():

@@ -17,6 +17,7 @@ from skorodist.pseudometric import (
     Coordinate,
     Discrete,
     Euclidean,
+    MaxOf,
     PseudometricFamily,
     PulledBack,
     Scaled,
@@ -33,6 +34,7 @@ from skorodist.sampling import (
 )
 from skorodist.topology import (
     MAX_EPS,
+    MIN_EPS,
     Modulus,
     ModulusValidationError,
     SamplerStarvation,
@@ -46,7 +48,25 @@ from skorodist.topology import (
 
 COORDS = coordinate_family(2)
 EUCLID = euclidean_family()
+MAXC = COORDS.metric({1, 2})
 K_PAIR = {(0.0, 0.0), (3.0, 4.0)}
+LABELS = {"idle", "busy", "halt"}
+DISCRETE = PseudometricFamily([Discrete()])
+
+# One (family, K, rho) per rule of the analytic modulus.
+BUILT_IN_RULES = [
+    (EUCLID, K_PAIR, Euclidean()),  # rho is an index metric
+    (COORDS, K_PAIR, Euclidean()),  # Euclidean under the coordinates
+    (PseudometricFamily([MAXC]), K_PAIR, Euclidean()),  # ... under their maximum
+    (EUCLID, K_PAIR, MAXC),  # the coordinate maximum under Euclidean
+    (PseudometricFamily([MAXC]), K_PAIR, Coordinate(2)),  # under a MaxOf
+    (EUCLID, K_PAIR, Scaled(0.0, Coordinate(1))),
+    (EUCLID, K_PAIR, Scaled(0.5, Coordinate(1))),
+    (COORDS, K_PAIR, Scaled(3.0, Euclidean())),
+    (COORDS, K_PAIR, MaxOf((Coordinate(1), Scaled(3.0, Coordinate(2))))),
+    (DISCRETE, LABELS, Discrete()),  # labels
+    (DISCRETE, LABELS, Scaled(0.5, Discrete())),
+]
 
 
 # --- uniform modulus ---------------------------------------------------------
@@ -120,6 +140,102 @@ def test_modulus_rejects_bad_inputs():
     assert uniform_modulus(EUCLID, K_PAIR, Euclidean(), MAX_EPS, rng=rng).delta == MAX_EPS / 2
 
 
+def test_modulus_rejects_eps_below_the_smallest_normal_float():
+    # eps / (2 sqrt(2)) of a subnormal eps can round to 0: rejected before any
+    # draw, like an eps above MAX_EPS
+    rng = random.Random(0)
+    state = rng.getstate()
+    for eps in (5e-324, math.nextafter(MIN_EPS, 0.0)):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            uniform_modulus(COORDS, K_PAIR, Euclidean(), eps, rng=rng)
+    assert rng.getstate() == state
+    assert uniform_modulus(COORDS, K_PAIR, Euclidean(), MIN_EPS).delta > 0
+    # the deepest radius, eps / 2**40, is still positive at MIN_EPS
+    deepest = uniform_modulus(EUCLID, K_PAIR, Scaled(2.0**38, Coordinate(1)), MIN_EPS)
+    assert deepest.delta == MIN_EPS / 2.0**40 > 0
+
+
+def test_built_in_moduli_survive_the_sampled_balls():
+    # The balls the modulus search used to draw: around every point of K,
+    # candidates at the tight radius delta and the wide radius delta + 2 eps.
+    # Every candidate inside the index ball of radius delta has rho < eps.
+    rng = random.Random(13)
+    for family, K, rho in BUILT_IN_RULES:
+        for eps in (0.2, 0.05):
+            mod = uniform_modulus(family, K, rho, eps)
+            d_index = family.metric(mod.index)
+            for z in sorted(K, key=repr):
+                if isinstance(z, str):
+                    cands = sorted(K)
+                else:
+                    cands = _candidates_near(z, mod.delta, mod.delta + 2 * eps, rng, 2000)
+                hits = [y for y in cands if d_index(z, y) < mod.delta]
+                assert isinstance(z, str) or len(hits) >= 20
+                assert all(rho(z, y) < eps for y in hits), (rho, z)
+
+
+def test_built_in_moduli_and_transfer_checks_never_sample(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a built-in modulus sampled a ball")
+
+    monkeypatch.setattr("skorodist.topology._ball", sampled)
+    monkeypatch.setattr("skorodist.topology._post_validate", sampled)
+    for family, K, rho in BUILT_IN_RULES:
+        uniform_modulus(family, K, rho, 0.1)
+    # both directions of the transfer suite and benchmark
+    rng = random.Random(14)
+    x = random_step_function(rng, 4, lambda r: box_value(r))
+    sampler = conditioned_perturbation_sampler(x)
+    for coarse, fine, index in ((EUCLID, COORDS, {1}), (COORDS, EUCLID, {1, 2})):
+        report = t1_transfer_check(x, coarse, fine, index, 0.05, sampler, 5, rng=rng)
+        assert report.violations == []
+
+
+def test_structural_modulus_is_the_sampled_one(monkeypatch):
+    # The covering search that sampled its balls converged to the analytic
+    # radius: eps / 4 for the coordinate maximum under Euclidean, eps / 8 for
+    # Euclidean under the coordinate maximum.  K is K_PAIR and the ranges of
+    # the 10 functions of acceptance criterion 5's standalone modulus check.
+    rng = random.Random(20260809 + 55)
+    sets = [K_PAIR]
+    sets += [random_step_function(rng, 4, lambda r: box_value(r)).range_closure()
+             for _ in range(10)]
+    cases = [(EUCLID, MAXC), (PseudometricFamily([MAXC]), Euclidean())]
+    structural = [uniform_modulus(f, K, rho, eps)
+                  for K in sets for eps in (0.2, 0.05) for f, rho in cases]
+    monkeypatch.setattr("skorodist.topology._lipschitz", lambda rho, d, dim: None)
+    rng = random.Random(15)
+    sampled = [uniform_modulus(f, K, rho, eps, rng=rng)
+               for K in sets for eps in (0.2, 0.05) for f, rho in cases]
+    assert structural == sampled
+
+
+def test_undominated_scale_fails_without_drawing():
+    # L = 2**45 needs a radius below eps / 2**40, the last one the search tries
+    rng = random.Random(16)
+    state = rng.getstate()
+    with pytest.raises(ModulusValidationError) as exc:
+        uniform_modulus(EUCLID, K_PAIR, Scaled(2.0**45, Coordinate(1)), 0.1, rng=rng)
+    assert str(exc.value) == (
+        "no radius down to 4.5474735088646414e-14 validated around (0.0, 0.0); "
+        "rho is not controlled by the family there"
+    )
+    assert rng.getstate() == state
+
+
+def test_analytic_modulus_checks_the_value_space():
+    # as a sampled ball does: K outside the space of rho or of the family
+    with pytest.raises(ValueSpaceMismatch):
+        uniform_modulus(EUCLID, LABELS, Euclidean(), 0.1)
+    with pytest.raises(ValueSpaceMismatch):
+        uniform_modulus(EUCLID, K_PAIR, Coordinate(3), 0.1)
+    with pytest.raises(ValueSpaceMismatch):
+        uniform_modulus(coordinate_family(3), K_PAIR, Scaled(2.0, Coordinate(3)), 0.1)
+    # a 3-D point that the two coordinates do not see is not covered
+    with pytest.raises(ModulusValidationError):
+        uniform_modulus(COORDS, {(0.0, 0.0), (0.0, 0.0, 5.0)}, Euclidean(), 0.1)
+
+
 def test_modulus_on_label_space():
     from skorodist.pseudometric import Discrete, Scaled
 
@@ -133,20 +249,20 @@ def test_modulus_on_label_space():
     assert mod2.delta > 0
 
 
-# Moduli and the next RNG draw after each call, recorded with the pairwise
-# metric evaluation that ``Pseudometric.row`` replaced: batching the balls must
-# change neither the radii nor the number or order of draws.
+# Moduli and the next RNG draw after each call.  The three vector rows are
+# analytic and draw nothing, so the next draw is the seed's first; their
+# moduli are those the sampled search and its post-validation returned.
 @pytest.mark.parametrize(
     "family, K, rho, eps, seed, index, delta, next_draw",
     [
         # fast path: rho is an index metric
-        (EUCLID, K_PAIR, Euclidean(), 0.1, 0, {1}, 0.05, 0.6758287159496347),
+        (EUCLID, K_PAIR, Euclidean(), 0.1, 0, {1}, 0.05, 0.8444218515250481),
         # fast path: Euclidean rho under the full coordinate family
         (COORDS, K_PAIR, Euclidean(), 0.1, 0, {1, 2}, 0.035355339059327376,
-         0.6758287159496347),
-        # general path on vectors
+         0.8444218515250481),
+        # general path on vectors: max-coordinate under Euclidean, L = 1
         (EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, 2, {1}, 0.025,
-         0.15930584948911575),
+         0.9560342718892494),
         # general path on labels: the alphabet is enumerated, nothing is drawn
         (PseudometricFamily([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
          0.4, 0, {1}, 0.2, 0.8444218515250481),
@@ -241,7 +357,7 @@ def test_transfer_report_and_rng_stream_are_pinned():
     assert report.modulus == Modulus(frozenset({1}), 0.0125)
     assert report.trials == 10
     assert report.violations == []
-    assert rng.random() == 0.5097794002618546
+    assert rng.random() == 0.9577312039639913
 
 
 def test_transfer_violations_report_exact_distances(monkeypatch):
