@@ -219,10 +219,6 @@ def compose_time_change(f: StepFunction, lam: "TimeChange") -> StepFunction:
     return StepFunction(tuple(new_times), f.values)
 
 
-def step_to_json(f: StepFunction) -> str:
-    return json.dumps(f.to_json_obj(), sort_keys=True)
-
-
 def step_from_json_obj(obj) -> StepFunction:
     if not isinstance(obj, dict) or "times" not in obj or "values" not in obj:
         raise TraceParseError('expected an object with "times" and "values"')

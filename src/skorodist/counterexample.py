@@ -133,41 +133,23 @@ class TauKNeighborhood:
 
 @dataclass(frozen=True)
 class TailSequence:
-    """Sequence with an eventually-exact closed form.
-
-    A finite explicit prefix followed by either the constant ``coefficient``
-    or ``coefficient / n``.  The prefix never matters for convergence.
+    """Sequence with an eventually-exact closed form: eventually the constant
+    ``coefficient`` or ``coefficient / n``.  Finitely many leading terms never
+    matter for convergence, so they are not stored.
     """
 
     kind: str  # "constant" | "reciprocal"
     coefficient: Fraction
-    prefix: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("constant", "reciprocal"):
             raise ValueError(f"unsupported tail form {self.kind!r}")
         object.__setattr__(self, "coefficient", as_fraction(self.coefficient))
-        object.__setattr__(
-            self, "prefix", tuple(as_fraction(p) for p in self.prefix)
-        )
-
-    def term(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("terms are indexed from 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        if self.kind == "constant":
-            return self.coefficient
-        return self.coefficient / n
 
 
-def constant_tail(c, prefix=()) -> TailSequence:
-    return TailSequence("constant", c, prefix)
-
-
-def reciprocal_tail(q=1, prefix=()) -> TailSequence:
+def reciprocal_tail(q=1) -> TailSequence:
     """The sequence q/n (eventually)."""
-    return TailSequence("reciprocal", q, prefix)
+    return TailSequence("reciprocal", q)
 
 
 def staircase_left_limits() -> TailSequence:

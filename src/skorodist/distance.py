@@ -116,24 +116,11 @@ class TimeChange:
         object.__setattr__(self, "_ts", tuple(t for t, _ in ks))
         object.__setattr__(self, "_ls", tuple(lt for _, lt in ks))
 
-    @classmethod
-    def identity(cls) -> "TimeChange":
-        return cls(((0.0, 0.0), (1.0, 1.0)))
-
     def __call__(self, t: float) -> float:
         return _interp(self._ts, self._ls, t)
 
     def inverse_at(self, s: float) -> float:
         return _interp(self._ls, self._ts, s)
-
-    def inverse(self) -> "TimeChange":
-        return TimeChange(tuple((lt, t) for t, lt in self.knots))
-
-    def compose(self, other: "TimeChange") -> "TimeChange":
-        """self after other: t -> self(other(t))."""
-        grid = {t for t, _ in other.knots}
-        grid.update(other.inverse_at(t) for t, _ in self.knots)
-        return TimeChange(tuple((t, self(other(t))) for t in sorted(grid)))
 
     def warp_deviation(self) -> float:
         """sup_t |lam(t) - t|, attained at a knot."""
@@ -393,9 +380,11 @@ class _BandedDP:
         steps until a probe succeeds at some hi, then binary-search the
         ``thresholds`` in [L, hi], or in (last failure, hi] once a probe has
         failed: they hold every float in the bracket where feasibility can
-        switch, so the least feasible one is the distance.  From eps = 1 on
-        every window is open and only piece distances can bind, so the gallop
-        jumps from there to the largest piece distance, which is feasible.
+        switch, so the least feasible one is the distance.  A bracket of one
+        float, such as L when its probe succeeds, is the distance itself.
+        From eps = 1 on every window is open and only piece distances can
+        bind, so the gallop jumps from there to the largest piece distance,
+        which is feasible.
         """
         m, p = len(self.a), len(self.b)
         lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
@@ -411,6 +400,9 @@ class _BandedDP:
                 hi, step = hi + step, 2.0 * step
             else:
                 hi = self.largest_distance()
+
+        if lo == hi:
+            return hi + 0.0, at_hi  # -0.0 to 0.0, as thresholds() would give
 
         def probe(eps):
             return at_hi if eps == hi else self.probe(eps)

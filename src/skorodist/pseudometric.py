@@ -40,9 +40,7 @@ class Pseudometric:
     bit-identical to ``__call__``.  Where the check fails they fall back to
     the pairwise loop, so a bad value raises the error of the first bad pair
     that a row reaches.  A distance solve builds one table per solve and
-    fills its piece distances row by row through it; ``row(a, bs)`` is the
-    one-row case, with which the uniform-modulus sampler evaluates its
-    candidate balls.
+    fills its piece distances row by row through it.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
@@ -50,9 +48,6 @@ class Pseudometric:
 
     def table(self, xs, ys):
         return _pairwise_table(self, xs, ys)
-
-    def row(self, a: Value, bs) -> list[float]:
-        return self.table((a,), bs)(0, 0, len(bs))
 
 
 def _pairwise_table(d, xs, ys):

@@ -5,32 +5,31 @@ Three procedures, all operating on finite data:
 * ``uniform_modulus`` -- given a max-closed family, a finite value set K, a
   target pseudometric rho and eps > 0, produce an index i and delta > 0 such
   that family-distance below delta from a point of K forces rho below eps.
-  For the built-in kinds the modulus is analytic.  Two fast paths cover rho
-  equal to an index metric (delta = eps/2) and Euclidean rho under a full
-  coordinate family (delta = eps/(2*sqrt(dim)), since the Euclidean norm is
-  at most sqrt(dim) times the coordinate maximum).  Otherwise a structural
-  Lipschitz constant L with rho <= L * d_full is read off the two metrics:
+  A modulus is returned only with a proof.  Two fast paths cover rho equal to
+  an index metric (delta = eps/2) and Euclidean rho under a full coordinate
+  family (delta = eps/(2*sqrt(dim)), since the Euclidean norm is at most
+  sqrt(dim) times the coordinate maximum).  Otherwise, on vectors, a
+  structural Lipschitz constant L with rho <= L * d_full is read off the two
+  metrics:
 
   - L = 1 for rho equal to d or to one of its parts, and for a
     ``Coordinate`` under ``Euclidean``;
   - L = sqrt(dim) for ``Euclidean`` under the full coordinate maximum;
   - L = c * L(r) for ``Scaled(c, r)`` with c >= 0;
-  - the maximum of the parts' L for a ``MaxOf`` target.
+  - the maximum of the parts' L for a ``MaxOf`` target;
+  - tried last, L(rho, r) / c for a ``Scaled(c, r)`` part of d with c > 0,
+    the least such bound.
 
   The covering construction asks per point z for a radius delta_z with the
   d ball of radius 2 * delta_z inside {rho < eps/2}; under rho <= L * d the
   geometric search eps/2, eps/4, ... stops at the first delta_z with
-  2 * L * delta_z <= eps/2 (eps/4 for L = 1), the same for every z, so no
-  ball is drawn.  For step functions the compact sets that occur are finite
-  ranges, so the covering argument degenerates to iteration over K, and the
-  returned index is the full index.  A label K is covered exactly: its balls
-  are the label points of K.  Only the fallback -- ``PulledBack``, opaque
-  callables, and a rho the rules do not dominate -- samples each vector
-  ball by rejection (the underlying argument is non-constructive in delta_z;
-  sampling is what makes it checkable) and post-validates the result by the
-  same sampling.  A ball is evaluated in batches: ``d_index.row(z,
-  candidates)`` over the whole candidate list, then ``rho.row(z, hits)`` over
-  the hits only.
+  2 * L * delta_z <= eps/2 (eps/4 for L = 1), the same for every z.  For
+  step functions the compact sets that occur are finite ranges, so the
+  covering argument degenerates to iteration over K, and the returned index
+  is the full index.  A label K is covered exactly: its balls are the label
+  points of K.  A vector target that no rule bounds -- ``PulledBack``, a
+  plain callable, or a rho the family does not dominate -- raises
+  :class:`ModulusValidationError`.
 
 * ``t1_transfer_check`` -- the transfer mechanism behind topology
   independence, run empirically: with (j, delta) from ``uniform_modulus``
@@ -68,27 +67,25 @@ from .pseudometric import (
 )
 
 
-# The largest eps that uniform_modulus accepts.  The fallback's sampling
-# radii reach delta + 2 * eps <= 2.5 * eps and the widths drawn over are
-# twice that, so below float max / 8 every radius and width stays finite.
+# The largest eps that uniform_modulus accepts.  The modulus needs only eps/2
+# finite; below float max / 8 the transfer sampler's proposal widths, at most
+# 2 * 0.8 * 1.3 * eps/2 (``sampling.conditioned_perturbation_sampler`` at
+# bound <= delta <= eps/2), stay finite with room to spare.
 MAX_EPS = sys.float_info.max / 8
 # The smallest: a normal float, so that eps / 2**_MAX_DEPTH and
 # eps / (2 * sqrt(dim)) are still positive floats.
 MIN_EPS = sys.float_info.min
 
-# A vector ball validates only with at least this many sampled hits, and the
-# radius search halves at most this many times before giving up.
-_MIN_HITS = 20
+# The radius search halves at most this many times before giving up.
 _MAX_DEPTH = 40
-# Candidates drawn per vector ball.
-_SAMPLES = 2000
 # t1_transfer_check draws at most this many proposals per requested trial.
 _MAX_ATTEMPTS_FACTOR = 200
 
 
 class ModulusValidationError(RuntimeError):
-    """No radius validated: rho is not controlled by the family on this set,
-    or the sampler cannot populate the candidate balls."""
+    """No modulus could be proved: no structural rule bounds rho by the
+    family on these vectors, or no radius down to eps / 2**40 is small
+    enough."""
 
 
 class SamplerStarvation(RuntimeError):
@@ -107,69 +104,29 @@ class Modulus:
             raise ValueError("delta must be positive")
 
 
-def _candidates_near(z, r_tight, r_wide, rng, n):
-    """n candidates around the vector z, each coordinate drawn from the tight
-    or the wide radius independently.  The mixed radii keep slab-shaped balls
-    populated at any tight radius while still probing directions the tight
-    scale would hide."""
-    # rng.uniform(-r, r) written out as CPython computes it, -r + (r - -r) *
-    # random(), so that every coordinate and the RNG stream are unchanged.
-    draw = rng.random
-    tight = (-r_tight, r_tight - -r_tight)
-    wide = (-r_wide, r_wide - -r_wide)
-    out = []
-    for _ in range(n):
-        coords = []
-        for c in z:
-            low, width = tight if draw() < 0.5 else wide
-            coords.append(c + (low + width * draw()))
-        out.append(tuple(coords))
-    return out
-
-
-def _inside(d_index, z, radius, cands):
-    """The candidates in the open d_index ball of ``radius`` around z."""
-    return [y for y, d in zip(cands, d_index.row(z, cands)) if d < radius]
-
-
-def _ball(d_index, z, radius, bound, rng):
-    """The sampled points of the open d_index ball of ``radius`` around the
-    vector z that the check of rho < bound visits: candidates at the tight
-    radius and at the wide radius ``radius + 2 * bound``, which reaches rho ~
-    bound, so a direction the family does not see shows up as a violation
-    instead of being missed."""
-    cands = _candidates_near(z, radius, radius + 2.0 * bound, rng, _SAMPLES)
-    return _inside(d_index, z, radius, cands)
-
-
 def uniform_modulus(
     family: PseudometricFamily,
     K,
     rho,
     eps: float,
-    rng=None,
 ) -> Modulus:
     """Find (index, delta) with: z in K and family_index(z, y) < delta imply
     rho(z, y) < eps.
 
     K must be a nonempty finite value set (ranges of step functions are),
-    and eps must lie in [``MIN_EPS``, ``MAX_EPS``].  Raises
-    :class:`ModulusValidationError` when no radius validates, which is the
-    observable signature of rho not being continuous for the family's
-    topology (e.g. a family missing a coordinate that rho sees).
+    and eps must lie in [``MIN_EPS``, ``MAX_EPS``].  The modulus is proved,
+    never sampled: eps/2 when rho is an index metric, eps/(2*sqrt(dim)) for
+    Euclidean rho under a full coordinate family, and else, on vectors, the
+    largest eps/2**k, 1 <= k <= ``_MAX_DEPTH``, with 2 * L * delta <= eps/2
+    for a Lipschitz constant L of rho over the full index metric d, by the
+    structural rules of the module docstring.  Label balls are computed
+    exactly over the label points of K.
 
-    The modulus is analytic for the built-in kinds and draws nothing from
-    ``rng``: eps/2 when rho is an index metric, eps/(2*sqrt(dim)) for
-    Euclidean rho under a full coordinate family, and else the largest
-    eps/2**k, 1 <= k <= ``_MAX_DEPTH``, with 2 * L * delta <= eps/2 for a
-    Lipschitz constant L of rho over the full index metric d: L = 1 for rho
-    equal to d or to a part of it and for a ``Coordinate`` under
-    ``Euclidean``, sqrt(dim) for ``Euclidean`` under the full coordinate
-    maximum, c * L(r) for ``Scaled(c, r)`` with c >= 0, and the maximum over
-    the parts of a ``MaxOf`` target.  Label balls are computed exactly over
-    the label points of K.  Only the fallback samples: vector balls of
-    ``_SAMPLES`` candidates, of which at least ``_MIN_HITS`` must hit, over
-    at most ``_MAX_DEPTH`` halvings of the radius, with post-validation.
+    Raises :class:`ModulusValidationError` when no rule bounds a vector rho
+    by the family, or when the bound is too large for any radius.  That is
+    no evidence that rho is discontinuous for the family's topology:
+    ``PulledBack`` and plain-callable vector targets raise even where they
+    are continuous.
     """
     points = sorted(K, key=repr)
     if not points:
@@ -179,9 +136,9 @@ def uniform_modulus(
 
     # Fast path: rho is itself one of the family's index metrics, so the ball
     # of radius eps/2 around any point is contained in {rho < eps}.
-    for idx in family.indices():
-        if family.metric(idx) == rho:
-            return _in_space(family, points, rho, Modulus(idx, eps / 2.0))
+    idx = _index_of(family, rho)
+    if idx is not None:
+        return _in_space(family, points, rho, Modulus(idx, eps / 2.0))
 
     labels = isinstance(points[0], str)
     dim = None if labels else max(map(len, points))
@@ -204,36 +161,50 @@ def uniform_modulus(
     # radius.
     idx = family.full_index()
     d_index = family.metric(idx)
-    lip = None if labels else _lipschitz(rho, d_index, dim)
-    if lip is not None:
-        dz = eps / 2.0
-        for _ in range(_MAX_DEPTH):
-            if 2.0 * lip * dz <= eps / 2.0:
-                return _in_space(family, points, rho, Modulus(idx, dz))
-            dz /= 2.0
-        raise _no_radius(dz, points[0])
-    rng = rng if rng is not None else random.Random(0)
-    delta = None
-    for z in points:
-        dz = eps / 2.0
-        for _ in range(_MAX_DEPTH):
-            if labels:
-                # exact: the label points of K, so no minimum count of hits
-                hits = _inside(d_index, z, 2.0 * dz, points)
+    if labels:
+        # exact: the balls are sets of label points of K
+        delta = eps / 2.0
+        for z in points:
+            dz = eps / 2.0
+            for _ in range(_MAX_DEPTH):
+                hits = [y for y in points if d_index(z, y) < 2.0 * dz]
+                if all(rho(z, y) < eps / 2.0 for y in hits):
+                    break
+                dz /= 2.0
             else:
-                hits = _ball(d_index, z, 2.0 * dz, eps / 2.0, rng)
-            if (labels or len(hits) >= _MIN_HITS) and all(
-                r < eps / 2.0 for r in rho.row(z, hits)
-            ):
-                break
-            dz /= 2.0
-        else:
-            raise _no_radius(dz, z)
-        delta = dz if delta is None else min(delta, dz)
-    mod = Modulus(idx, delta)
-    if not labels:
-        _post_validate(family, points, rho, eps, mod, rng)
-    return mod
+                raise _no_radius(dz, z)
+            delta = min(delta, dz)
+        return Modulus(idx, delta)
+    lip = _lipschitz(rho, d_index, dim)
+    if lip is None:
+        raise ModulusValidationError(
+            f"no structural rule bounds rho = {rho!r} by the family metric "
+            f"{d_index!r} on {dim}-dimensional vectors"
+        )
+    dz = eps / 2.0
+    for _ in range(_MAX_DEPTH):
+        if 2.0 * lip * dz <= eps / 2.0:
+            return _in_space(family, points, rho, Modulus(idx, dz))
+        dz /= 2.0
+    raise _no_radius(dz, points[0])
+
+
+def _index_of(family, rho):
+    """The first index in ``family.indices()`` order whose metric equals rho,
+    or None, found without enumerating the 2**n - 1 indices: a generator
+    equal to rho, else the leftmost positions whose generators equal the
+    parts of a ``MaxOf`` rho in order.  Every index whose metric equals a
+    ``MaxOf`` rho has ``len(rho.parts)`` positions, and ``indices()`` lists
+    the indices of one size in lexicographic order, in which the leftmost
+    match comes first."""
+    gens = family.generators
+    if rho in gens:
+        return frozenset({gens.index(rho) + 1})
+    if not isinstance(rho, MaxOf) or len(rho.parts) < 2:
+        return None  # a one-position index metric is its generator
+    positions = enumerate(gens, start=1)  # shared: each match lies right of the last
+    chosen = [next((p for p, g in positions if g == part), None) for part in rho.parts]
+    return None if None in chosen else frozenset(chosen)
 
 
 def _no_radius(dz, z):
@@ -251,7 +222,7 @@ def _lipschitz(rho, d, dim):
         return 1.0
     if isinstance(rho, Scaled):
         inner = _lipschitz(rho.inner, d, dim)
-        # a negative or NaN factor is no pseudometric: leave it to sampling
+        # a negative or NaN factor is no pseudometric
         return None if inner is None or not rho.factor >= 0 else rho.factor * inner
     if isinstance(rho, MaxOf):
         bounds = [_lipschitz(p, d, dim) for p in rho.parts]
@@ -262,29 +233,26 @@ def _lipschitz(rho, d, dim):
         Coordinate(k) in parts for k in range(1, dim + 1)
     ):
         return math.sqrt(dim)
-    return None
+    # rho <= L(rho, r) * r = L(rho, r) / c * (c * r) for a part c * r of d
+    bounds = [
+        lip / p.factor
+        for p in parts
+        if isinstance(p, Scaled) and p.factor > 0
+        for lip in [_lipschitz(rho, p.inner, dim)]
+        if lip is not None
+    ]
+    return min(bounds, default=None)
 
 
 def _in_space(family, points, rho, mod):
     """mod, once rho and the index metric have been evaluated at (z, z) for
     every z in K: a value outside their space raises ValueSpaceMismatch here,
-    as it does in a sampled ball."""
+    as it does in a distance solve."""
     d = family.metric(mod.index)
     for z in points:
         d(z, z)
         rho(z, z)
     return mod
-
-
-def _post_validate(family, points, rho, eps, mod, rng):
-    d_index = family.metric(mod.index)
-    for z in points:
-        hits = _ball(d_index, z, mod.delta, eps, rng)
-        for y, r in zip(hits, rho.row(z, hits)):
-            if not r < eps:
-                raise ModulusValidationError(
-                    f"modulus {mod} failed post-validation at z={z!r}, y={y!r}"
-                )
 
 
 @dataclass
@@ -325,7 +293,7 @@ def t1_transfer_check(
     rng = rng if rng is not None else random.Random(0)
     rho = coarse.metric(index)
     points = x.range_closure()
-    mod = uniform_modulus(fine, points, rho, eps, rng=rng)
+    mod = uniform_modulus(fine, points, rho, eps)
     zeta = fine.metric(mod.index)
     bound = min(mod.delta, eps)
     below = math.nextafter(bound, -1.0)  # distance < bound iff <= below

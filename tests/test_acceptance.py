@@ -196,8 +196,8 @@ def test_criterion_5_modulus_succeeds_standalone():
         x = random_step_function(rng, 4, lambda r: box_value(r))
         K = x.range_closure()
         for eps in (0.2, 0.05):
-            m1 = uniform_modulus(COORDS, K, ABS, eps, rng=rng)
+            m1 = uniform_modulus(COORDS, K, ABS, eps)
             assert m1.delta > 0
-            m2 = uniform_modulus(EUCLID, K, MAXC, eps, rng=rng)
+            m2 = uniform_modulus(EUCLID, K, MAXC, eps)
             assert m2.delta > 0
     print("\n[acceptance] criterion 5 addendum (uniform_modulus succeeds): PASS")

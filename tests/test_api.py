@@ -37,7 +37,7 @@ SIGNATURES = {
     "skorohod_distance": "x y d",
     "t1_transfer_check": "x coarse fine index eps sampler trials rng",
     "uniform_distance": "x y d",
-    "uniform_modulus": "family K rho eps rng",
+    "uniform_modulus": "family K rho eps",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -12,7 +13,6 @@ from skorodist.cadlag import (
     minus,
     plus,
     step_from_json,
-    step_to_json,
 )
 from skorodist.distance import TimeChange
 from skorodist.sampling import random_step_function, random_time_change, scalar_level_value
@@ -124,7 +124,7 @@ def test_compose_identity():
     rng = random.Random(4)
     for _ in range(10):
         f = random_step_function(rng, 5, scalar_level_value)
-        assert compose_time_change(f, TimeChange.identity()) == f
+        assert compose_time_change(f, TimeChange(((0.0, 0.0), (1.0, 1.0)))) == f
 
 
 def test_compose_moves_jump():
@@ -139,13 +139,21 @@ def test_compose_constant_invariant():
     assert compose_time_change(CONST5, lam) == CONST5
 
 
+def _after(lam1, lam2):
+    """The time change lam1 after lam2, t -> lam1(lam2(t)), on the knots of
+    both: it is linear between them."""
+    grid = {t for t, _ in lam2.knots}
+    grid.update(lam2.inverse_at(t) for t, _ in lam1.knots)
+    return TimeChange(tuple((t, lam1(lam2(t))) for t in sorted(grid)))
+
+
 def test_compose_associative_up_to_normalize():
     rng = random.Random(5)
     for _ in range(25):
         f = random_step_function(rng, 5, scalar_level_value)
         lam1 = random_time_change(rng)
         lam2 = random_time_change(rng)
-        left = compose_time_change(f, lam1.compose(lam2)).normalize()
+        left = compose_time_change(f, _after(lam1, lam2)).normalize()
         right = compose_time_change(compose_time_change(f, lam1), lam2).normalize()
         assert left.values == right.values
         assert left.times == pytest.approx(right.times, abs=1e-9)
@@ -172,9 +180,9 @@ def test_normalize_preserves_eval():
 
 def test_json_round_trip():
     f = make_step([0.0, 0.5], [[0.0, 2.0], [1.0, 3.0]])
-    assert step_from_json(step_to_json(f)) == f
+    assert step_from_json(json.dumps(f.to_json_obj())) == f
     g = make_step([0.0, 0.25], ["idle", "busy"])
-    assert step_from_json(step_to_json(g)) == g
+    assert step_from_json(json.dumps(g.to_json_obj())) == g
 
 
 def test_json_form_is_as_documented():

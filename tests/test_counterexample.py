@@ -6,8 +6,8 @@ import pytest
 from skorodist.counterexample import (
     EXCLUDE_ALL,
     EXCLUDE_ALL_BUT_CENTER,
+    TailSequence,
     TauKNeighborhood,
-    constant_tail,
     converges,
     f_example,
     f_left_limit,
@@ -90,8 +90,8 @@ def test_convergence_decisions():
     assert converges(reciprocal_tail(-1), 0, "tauk") is True
     assert converges(reciprocal_tail(1), 0, "tau0") is True
     assert converges(reciprocal_tail(1), Fraction(1, 2), "tau0") is False
-    assert converges(constant_tail(Fraction(1, 2)), Fraction(1, 2), "tauk") is True
-    assert converges(constant_tail(0), 0, "tauk") is True
+    assert converges(TailSequence("constant", Fraction(1, 2)), Fraction(1, 2), "tauk") is True
+    assert converges(TailSequence("constant", 0), 0, "tauk") is True
     # q/n with positive q keeps landing on K: 2/(3n) = 1/m whenever n is even
     assert converges(reciprocal_tail(Fraction(2, 3)), 0, "tauk") is False
     assert converges(reciprocal_tail(Fraction(2, 3)), 0, "tau0") is True
@@ -103,21 +103,10 @@ def test_convergence_finer_than_standard():
     # tau_K convergence implies standard convergence
     tails = [
         (reciprocal_tail(Fraction(q, 3)), Fraction(0)) for q in range(-3, 4)
-    ] + [(constant_tail(Fraction(c, 2)), Fraction(c, 2)) for c in range(-2, 3)]
+    ] + [(TailSequence("constant", Fraction(c, 2)), Fraction(c, 2)) for c in range(-2, 3)]
     for s, lim in tails:
         if converges(s, lim, "tauk"):
             assert converges(s, lim, "tau0")
-
-
-def test_tail_terms_and_prefix():
-    s = reciprocal_tail(1, prefix=(Fraction(7), Fraction(9)))
-    assert s.term(1) == 7
-    assert s.term(2) == 9
-    assert s.term(3) == Fraction(1, 3)
-    assert s.term(10_000) == Fraction(1, 10_000)
-    # the prefix never matters for convergence
-    assert converges(s, 0, "tauk") is False
-    assert converges(reciprocal_tail(-1, prefix=(Fraction(1, 2),)), 0, "tauk") is True
 
 
 def test_isolation_witness():

@@ -57,7 +57,7 @@ def sampler_for(case):
 
 
 def test_warp_deviation_examples():
-    assert TimeChange.identity().warp_deviation() == 0.0
+    assert TimeChange(((0.0, 0.0), (1.0, 1.0))).warp_deviation() == 0.0
     lam = TimeChange(((0.0, 0.0), (0.6, 0.5), (1.0, 1.0)))
     assert lam.warp_deviation() == pytest.approx(0.1, abs=1e-12)
     lam2 = TimeChange(((0.0, 0.0), (0.25, 0.5), (1.0, 1.0)))
@@ -77,14 +77,17 @@ def test_time_change_inverse_and_compose():
     rng = random.Random(0)
     for _ in range(20):
         lam = random_time_change(rng)
-        inv = lam.inverse()
+        inv = TimeChange(tuple((lt, t) for t, lt in lam.knots))
         for t in (0.0, 0.2, 0.5, 0.83, 1.0):
             assert inv(lam(t)) == pytest.approx(t, abs=1e-12)
+            assert lam(inv(t)) == pytest.approx(t, abs=1e-12)
             assert lam.inverse_at(lam(t)) == pytest.approx(t, abs=1e-12)
-        other = random_time_change(rng)
-        comp = lam.compose(other)
-        for t in (0.0, 0.31, 0.77, 1.0):
-            assert comp(t) == pytest.approx(lam(other(t)), abs=1e-12)
+        # composing a step function with lam and then with its inverse moves
+        # every jump back
+        x = random_step_function(rng, 4, scalar_level_value)
+        back = compose_time_change(compose_time_change(x, lam), inv)
+        assert back.values == x.values
+        assert back.times == pytest.approx(x.times, abs=1e-12)
 
 
 # --- feasibility ------------------------------------------------------------
@@ -325,6 +328,24 @@ def test_search_does_not_reprobe_a_failed_threshold():
     dp = _CountingDP(x, y, ABS)
     assert dp.least_feasible()[0] == _up_gap(0.4, 0.5) == oracle_distance(x, y, ABS)
     assert dp.probes == 3
+
+
+def test_search_stops_at_the_lower_bound(monkeypatch):
+    # When the first probe, at L = max(d(x(0), y(0)), d(x(1), y(1))),
+    # succeeds, L is the distance: no thresholds are enumerated.
+    def enumerated(self, lo, top):
+        raise AssertionError("enumerated the thresholds of a one-float bracket")
+
+    monkeypatch.setattr(_BandedDP, "thresholds", enumerated)
+    x = make_step([0.0, 0.4, 0.7], [0.0, 1.0, 3.0])
+    y = make_step([0.0, 0.4, 0.7], [0.25, 1.0, 3.0])  # differs on its first piece
+    for a, b, want in ((x, x, 0.0), (x, y, 0.25)):
+        res = skorohod_distance(a, b, ABS)
+        assert res.value == want == oracle_distance(a, b, ABS)
+        assert check_certificate(a, b, ABS, res.value, res.certificate)[0]
+    # a zero distance of negative sign still comes out as 0.0
+    res = skorohod_distance(x, x, Scaled(-0.0, ABS))
+    assert math.copysign(1.0, res.value) == 1.0
 
 
 def test_distance_rejects_non_finite_metric():

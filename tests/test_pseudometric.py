@@ -207,6 +207,11 @@ _BAD = st.sampled_from(["idle", "ab", (0.5,), (0.5, 0.5, 0.5)])
 _ROW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+def _row(d, a, bs):
+    """d at (a, b) for every b in bs, as one row of ``d.table``."""
+    return d.table((a,), bs)(0, 0, len(bs))
+
+
 def _bits(values):
     return [v.hex() for v in values]
 
@@ -221,8 +226,8 @@ def _outcome(evaluate):
 @_ROW_SETTINGS
 @given(d=_metrics(_KEEP_SPACE), a=_vector, bs=st.lists(_vector, max_size=20))
 def test_row_is_bit_identical_to_pairwise_calls(d, a, bs):
-    assert _bits(d.row(a, bs)) == _bits([d(a, b) for b in bs])
-    assert d.row(a, []) == []
+    assert _bits(_row(d, a, bs)) == _bits([d(a, b) for b in bs])
+    assert _row(d, a, []) == []
 
 
 @_ROW_SETTINGS
@@ -238,7 +243,7 @@ def test_row_raises_what_the_first_bad_pair_raises(d, a, bs, at, bad):
     with pytest.raises(ValueSpaceMismatch) as pairwise:
         [d(a, b) for b in bs]
     with pytest.raises(ValueSpaceMismatch) as batched:
-        d.row(a, bs)
+        _row(d, a, bs)
     assert str(batched.value) == str(pairwise.value)
 
 
@@ -252,27 +257,27 @@ def test_row_raises_what_the_first_bad_pair_raises(d, a, bs, at, bad):
 def test_row_fails_where_and_as_pairwise_calls_fail(d, a, bs, bad):
     for at, value in bad:
         bs.insert(min(at, len(bs)), value)
-    assert _outcome(lambda: d.row(a, bs)) == _outcome(lambda: [d(a, b) for b in bs])
+    assert _outcome(lambda: _row(d, a, bs)) == _outcome(lambda: [d(a, b) for b in bs])
 
 
 def test_row_edge_cases():
     # a coordinate past the dimension of the point fails on every pair
     with pytest.raises(ValueSpaceMismatch, match="coordinate 3"):
-        Coordinate(3).row((0.0, 1.0), [(1.0, 1.0)])
+        _row(Coordinate(3), (0.0, 1.0), [(1.0, 1.0)])
     with pytest.raises(ValueSpaceMismatch, match="label"):
-        Euclidean().row("idle", [(0.0,)])
+        _row(Euclidean(), "idle", [(0.0,)])
     # no pair, no check: as the pairwise loop
-    assert Coordinate(3).row((0.0, 1.0), []) == []
-    assert Euclidean().row("idle", []) == []
-    assert MaxOf((Coordinate(1),)).row((0.0, 1.0), [(2.0, 5.0)]) == [2.0]
-    assert Discrete().row("idle", ["idle", "busy"]) == [0.0, 1.0]
+    assert _row(Coordinate(3), (0.0, 1.0), []) == []
+    assert _row(Euclidean(), "idle", []) == []
+    assert _row(MaxOf((Coordinate(1),)), (0.0, 1.0), [(2.0, 5.0)]) == [2.0]
+    assert _row(Discrete(), "idle", ["idle", "busy"]) == [0.0, 1.0]
     with pytest.raises(ValueSpaceMismatch, match="label value compared"):
-        Discrete().row("idle", ["busy", (0.0,)])
+        _row(Discrete(), "idle", ["busy", (0.0,)])
     # The first part accepts the 3-vector and fails on the label; the pairwise
     # loop reaches the 3-vector under the second part first.
     mixed = MaxOf((PulledBack(Project((1,)), Euclidean()), Euclidean()))
     with pytest.raises(ValueSpaceMismatch, match="dimension mismatch: 2 vs 3"):
-        mixed.row((0.0, 0.0), [(1.0, 1.0, 1.0), "idle"])
+        _row(mixed, (0.0, 0.0), [(1.0, 1.0, 1.0), "idle"])
 
 
 # --- many-to-many evaluation -------------------------------------------------

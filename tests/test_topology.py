@@ -38,8 +38,6 @@ from skorodist.topology import (
     Modulus,
     ModulusValidationError,
     SamplerStarvation,
-    _candidates_near,
-    _post_validate,
     pushforward,
     t1_transfer_check,
     t2_continuity_check,
@@ -66,20 +64,43 @@ BUILT_IN_RULES = [
     (COORDS, K_PAIR, MaxOf((Coordinate(1), Scaled(3.0, Coordinate(2))))),
     (DISCRETE, LABELS, Discrete()),  # labels
     (DISCRETE, LABELS, Scaled(0.5, Discrete())),
+    (PseudometricFamily([Scaled(2.0, Euclidean())]), K_PAIR, Euclidean()),  # scaled d
+    (PseudometricFamily([Scaled(0.5, Euclidean())]), K_PAIR, Euclidean()),
 ]
+
+
+def _candidates_near(z, r_tight, r_wide, rng, n):
+    """n candidates around the vector z, each coordinate drawn from the tight
+    or the wide radius independently: the balls the modulus search drew when
+    it sampled, kept here to check the proved moduli against."""
+    out = []
+    for _ in range(n):
+        coords = []
+        for c in z:
+            r = r_tight if rng.random() < 0.5 else r_wide
+            coords.append(c + rng.uniform(-r, r))
+        out.append(tuple(coords))
+    return out
+
+
+def _forbid_draws(monkeypatch):
+    def drawn(self):
+        raise AssertionError("a modulus drew a random number")
+
+    monkeypatch.setattr(random.Random, "random", drawn)
 
 
 # --- uniform modulus ---------------------------------------------------------
 
 
 def test_modulus_identity_case():
-    mod = uniform_modulus(EUCLID, K_PAIR, Euclidean(), 0.1, rng=random.Random(0))
+    mod = uniform_modulus(EUCLID, K_PAIR, Euclidean(), 0.1)
     assert mod.index == frozenset({1})
     assert mod.delta == 0.05  # eps / 2
 
 
 def test_modulus_coordinate_fast_path():
-    mod = uniform_modulus(COORDS, K_PAIR, Euclidean(), 0.1, rng=random.Random(0))
+    mod = uniform_modulus(COORDS, K_PAIR, Euclidean(), 0.1)
     assert mod.index == frozenset({1, 2})
     assert mod.delta == pytest.approx(0.1 / (2 * math.sqrt(2)), abs=1e-15)
 
@@ -101,16 +122,14 @@ def test_modulus_coordinate_fast_path_rejection_validated():
 
 
 def test_modulus_general_path():
-    mod = uniform_modulus(
-        EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, rng=random.Random(2)
-    )
+    mod = uniform_modulus(EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1)
     assert mod.index == frozenset({1})
     assert 0 < mod.delta <= 0.05
 
 
 def test_modulus_soundness_sampled():
     rng = random.Random(3)
-    mod = uniform_modulus(EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, rng=rng)
+    mod = uniform_modulus(EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1)
     d_index = EUCLID.metric(mod.index)
     rho = COORDS.metric({1, 2})
     for z in sorted(K_PAIR):
@@ -123,7 +142,52 @@ def test_modulus_soundness_sampled():
 def test_modulus_degenerate_family_fails():
     degenerate = PseudometricFamily([Coordinate(1)])
     with pytest.raises(ModulusValidationError):
-        uniform_modulus(degenerate, K_PAIR, Euclidean(), 0.1, rng=random.Random(4))
+        uniform_modulus(degenerate, K_PAIR, Euclidean(), 0.1)
+
+
+def test_modulus_gives_up_unbounded_targets():
+    # A pulled-back or plain-callable vector target has no structural bound,
+    # even where it is continuous for the family: it gets no modulus.
+    for rho in (PulledBack(SquareCoords(), Euclidean()), lambda a, b: Euclidean()(a, b)):
+        with pytest.raises(ModulusValidationError, match="no structural rule"):
+            uniform_modulus(COORDS, K_PAIR, rho, 0.1)
+
+
+def test_plain_callables_on_labels_get_the_exact_modulus():
+    # the label balls are enumerated by plain calls of the target and of a
+    # callable generator
+    half = lambda a, b: 0.5 * Discrete()(a, b)  # noqa: E731
+    assert uniform_modulus(DISCRETE, LABELS, half, 0.4) == Modulus(frozenset({1}), 0.2)
+    family = PseudometricFamily([half])
+    # the generator puts the other labels at 0.5, inside the ball of radius
+    # 2 * 0.5 and outside the one of radius 2 * 0.25
+    assert uniform_modulus(family, LABELS, Discrete(), 1.0) == Modulus(frozenset({1}), 0.25)
+    assert uniform_modulus(family, LABELS, half, 0.4) == Modulus(frozenset({1}), 0.2)
+
+
+def test_index_metric_is_found_without_enumerating_indices(monkeypatch):
+    def enumerated(self):
+        raise AssertionError("enumerated all 2**n - 1 indices")
+
+    monkeypatch.setattr(PseudometricFamily, "indices", enumerated)
+    moduli = [uniform_modulus(family, K, rho, 0.1) for family, K, rho in BUILT_IN_RULES]
+    assert [(sorted(m.index), m.delta) for m in moduli] == [
+        ([1], 0.05), ([1, 2], 0.035355339059327376), ([1], 0.0125), ([1], 0.025),
+        ([1], 0.025), ([1], 0.05), ([1], 0.05), ([1, 2], 0.003125), ([1, 2], 0.00625),
+        ([1], 0.05), ([1], 0.05), ([1], 0.05), ([1], 0.0125),
+    ]
+    # the first match in indices() order: {1, 2}, not {1, 4}, {3, 2} or {3, 4}
+    c1, c2 = Coordinate(1), Coordinate(2)
+    duplicated = PseudometricFamily([c1, c2, c1, c2])
+    mod = uniform_modulus(duplicated, K_PAIR, MaxOf((c1, c2)), 0.1)
+    assert mod == Modulus(frozenset({1, 2}), 0.05)
+    # 2**20 - 1 indices would take seconds to enumerate
+    wide, z = coordinate_family(20), {tuple(float(k) for k in range(20))}
+    assert uniform_modulus(wide, z, Euclidean(), 0.1) == Modulus(
+        wide.full_index(), 0.011180339887498949
+    )
+    mod = uniform_modulus(wide, z, MaxOf((Coordinate(3), Coordinate(7))), 0.1)
+    assert mod == Modulus(frozenset({3, 7}), 0.05)
 
 
 def test_modulus_rejects_bad_inputs():
@@ -131,24 +195,17 @@ def test_modulus_rejects_bad_inputs():
         uniform_modulus(EUCLID, set(), Euclidean(), 0.1)
     with pytest.raises(ValueError):
         uniform_modulus(EUCLID, K_PAIR, Euclidean(), 0.0)
-    # above MAX_EPS a sampling radius would overflow: rejected before any draw
-    rng = random.Random(0)
-    state = rng.getstate()
     with pytest.raises(ValueError):
-        uniform_modulus(EUCLID, K_PAIR, Euclidean(), math.nextafter(MAX_EPS, math.inf), rng=rng)
-    assert rng.getstate() == state
-    assert uniform_modulus(EUCLID, K_PAIR, Euclidean(), MAX_EPS, rng=rng).delta == MAX_EPS / 2
+        uniform_modulus(EUCLID, K_PAIR, Euclidean(), math.nextafter(MAX_EPS, math.inf))
+    assert uniform_modulus(EUCLID, K_PAIR, Euclidean(), MAX_EPS).delta == MAX_EPS / 2
 
 
 def test_modulus_rejects_eps_below_the_smallest_normal_float():
-    # eps / (2 sqrt(2)) of a subnormal eps can round to 0: rejected before any
-    # draw, like an eps above MAX_EPS
-    rng = random.Random(0)
-    state = rng.getstate()
+    # eps / (2 sqrt(2)) of a subnormal eps can round to 0: rejected, like an
+    # eps above MAX_EPS
     for eps in (5e-324, math.nextafter(MIN_EPS, 0.0)):
         with pytest.raises(ValueError, match="eps must lie in"):
-            uniform_modulus(COORDS, K_PAIR, Euclidean(), eps, rng=rng)
-    assert rng.getstate() == state
+            uniform_modulus(COORDS, K_PAIR, Euclidean(), eps)
     assert uniform_modulus(COORDS, K_PAIR, Euclidean(), MIN_EPS).delta > 0
     # the deepest radius, eps / 2**40, is still positive at MIN_EPS
     deepest = uniform_modulus(EUCLID, K_PAIR, Scaled(2.0**38, Coordinate(1)), MIN_EPS)
@@ -175,52 +232,44 @@ def test_built_in_moduli_survive_the_sampled_balls():
 
 
 def test_built_in_moduli_and_transfer_checks_never_sample(monkeypatch):
-    def sampled(*args):
-        raise AssertionError("a built-in modulus sampled a ball")
-
-    monkeypatch.setattr("skorodist.topology._ball", sampled)
-    monkeypatch.setattr("skorodist.topology._post_validate", sampled)
-    for family, K, rho in BUILT_IN_RULES:
-        uniform_modulus(family, K, rho, 0.1)
-    # both directions of the transfer suite and benchmark
     rng = random.Random(14)
     x = random_step_function(rng, 4, lambda r: box_value(r))
+    with monkeypatch.context() as patched:
+        _forbid_draws(patched)
+        for family, K, rho in BUILT_IN_RULES:
+            uniform_modulus(family, K, rho, 0.1)
+    # both directions of the transfer suite and benchmark
     sampler = conditioned_perturbation_sampler(x)
     for coarse, fine, index in ((EUCLID, COORDS, {1}), (COORDS, EUCLID, {1, 2})):
         report = t1_transfer_check(x, coarse, fine, index, 0.05, sampler, 5, rng=rng)
         assert report.violations == []
 
 
-def test_structural_modulus_is_the_sampled_one(monkeypatch):
-    # The covering search that sampled its balls converged to the analytic
-    # radius: eps / 4 for the coordinate maximum under Euclidean, eps / 8 for
+def test_structural_modulus_is_the_sampled_one():
+    # The radii the covering search converged to when it sampled its balls:
+    # eps / 4 for the coordinate maximum under Euclidean, eps / 8 for
     # Euclidean under the coordinate maximum.  K is K_PAIR and the ranges of
     # the 10 functions of acceptance criterion 5's standalone modulus check.
     rng = random.Random(20260809 + 55)
     sets = [K_PAIR]
     sets += [random_step_function(rng, 4, lambda r: box_value(r)).range_closure()
              for _ in range(10)]
-    cases = [(EUCLID, MAXC), (PseudometricFamily([MAXC]), Euclidean())]
-    structural = [uniform_modulus(f, K, rho, eps)
-                  for K in sets for eps in (0.2, 0.05) for f, rho in cases]
-    monkeypatch.setattr("skorodist.topology._lipschitz", lambda rho, d, dim: None)
-    rng = random.Random(15)
-    sampled = [uniform_modulus(f, K, rho, eps, rng=rng)
-               for K in sets for eps in (0.2, 0.05) for f, rho in cases]
-    assert structural == sampled
+    for K in sets:
+        for eps in (0.2, 0.05):
+            assert uniform_modulus(EUCLID, K, MAXC, eps) == Modulus(frozenset({1}), eps / 4)
+            assert uniform_modulus(PseudometricFamily([MAXC]), K, Euclidean(), eps) == (
+                Modulus(frozenset({1}), eps / 8)
+            )
 
 
 def test_undominated_scale_fails_without_drawing():
     # L = 2**45 needs a radius below eps / 2**40, the last one the search tries
-    rng = random.Random(16)
-    state = rng.getstate()
     with pytest.raises(ModulusValidationError) as exc:
-        uniform_modulus(EUCLID, K_PAIR, Scaled(2.0**45, Coordinate(1)), 0.1, rng=rng)
+        uniform_modulus(EUCLID, K_PAIR, Scaled(2.0**45, Coordinate(1)), 0.1)
     assert str(exc.value) == (
         "no radius down to 4.5474735088646414e-14 validated around (0.0, 0.0); "
         "rho is not controlled by the family there"
     )
-    assert rng.getstate() == state
 
 
 def test_analytic_modulus_checks_the_value_space():
@@ -242,72 +291,53 @@ def test_modulus_on_label_space():
     fam = PseudometricFamily([Discrete()])
     labels = {"idle", "busy", "halt"}
     # identity case
-    mod = uniform_modulus(fam, labels, Discrete(), 0.4, rng=random.Random(0))
+    mod = uniform_modulus(fam, labels, Discrete(), 0.4)
     assert mod.index == frozenset({1}) and mod.delta == 0.2
     # general path: balls over a finite alphabet are computed exactly
-    mod2 = uniform_modulus(fam, labels, Scaled(0.5, Discrete()), 0.4, rng=random.Random(0))
+    mod2 = uniform_modulus(fam, labels, Scaled(0.5, Discrete()), 0.4)
     assert mod2.delta > 0
 
 
-# Moduli and the next RNG draw after each call.  The three vector rows are
-# analytic and draw nothing, so the next draw is the seed's first; their
-# moduli are those the sampled search and its post-validation returned.
+# The moduli of the two fast paths, of the structural rules and of label
+# enumeration.  The vector rows are those the sampled search and its
+# post-validation returned when moduli were sampled.
 @pytest.mark.parametrize(
-    "family, K, rho, eps, seed, index, delta, next_draw",
+    "family, K, rho, eps, index, delta",
     [
         # fast path: rho is an index metric
-        (EUCLID, K_PAIR, Euclidean(), 0.1, 0, {1}, 0.05, 0.8444218515250481),
+        (EUCLID, K_PAIR, Euclidean(), 0.1, {1}, 0.05),
         # fast path: Euclidean rho under the full coordinate family
-        (COORDS, K_PAIR, Euclidean(), 0.1, 0, {1, 2}, 0.035355339059327376,
-         0.8444218515250481),
+        (COORDS, K_PAIR, Euclidean(), 0.1, {1, 2}, 0.035355339059327376),
         # general path on vectors: max-coordinate under Euclidean, L = 1
-        (EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, 2, {1}, 0.025,
-         0.9560342718892494),
-        # general path on labels: the alphabet is enumerated, nothing is drawn
+        (EUCLID, K_PAIR, COORDS.metric({1, 2}), 0.1, {1}, 0.025),
+        # general path on labels: the alphabet is enumerated
         (PseudometricFamily([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
-         0.4, 0, {1}, 0.2, 0.8444218515250481),
+         0.4, {1}, 0.2),
         # the first ball radius, 1.0, equals the distance between two labels:
         # balls are open, so only z is a hit and that radius validates
         (PseudometricFamily([Discrete()]), {"idle", "busy", "halt"}, Scaled(0.5, Discrete()),
-         1.0, 0, {1}, 0.5, 0.8444218515250481),
+         1.0, {1}, 0.5),
+        # a scaled generator: L = 1 / 2 and L = 1 / 0.5
+        (PseudometricFamily([Scaled(2.0, Euclidean())]), K_PAIR, Euclidean(), 0.1, {1}, 0.05),
+        (PseudometricFamily([Scaled(0.5, Euclidean())]), K_PAIR, Euclidean(), 0.1, {1}, 0.0125),
     ],
 )
-def test_modulus_and_rng_stream_are_pinned(family, K, rho, eps, seed, index, delta,
-                                           next_draw):
-    rng = random.Random(seed)
-    mod = uniform_modulus(family, K, rho, eps, rng=rng)
+def test_modulus_is_pinned(family, K, rho, eps, index, delta):
+    mod = uniform_modulus(family, K, rho, eps)
     assert mod.index == frozenset(index)
     assert mod.delta == delta
-    assert rng.random() == next_draw
 
 
-def test_candidates_and_post_validation_failure_are_pinned():
-    assert _candidates_near((0.5, -1.0), 0.01, 0.3, random.Random(3), 3) == [
-        (0.500884584505919, -0.9979215992280761),
-        (0.23931731554388785, -0.9932506183580708),
-        (0.49468661922093393, -1.0178418954865314),
-    ]
-    # a modulus that ignores the second coordinate fails at the first such y
-    rng = random.Random(0)
-    wrong = Modulus(frozenset({1}), 0.05)
+def test_modulus_failure_and_rng_stream_are_pinned(monkeypatch):
+    # no rule bounds the Euclidean metric by the first coordinate alone, and
+    # the failure draws nothing
+    _forbid_draws(monkeypatch)
     with pytest.raises(ModulusValidationError) as exc:
-        _post_validate(COORDS, sorted(K_PAIR), Euclidean(), 0.1, wrong, rng)
+        uniform_modulus(PseudometricFamily([Coordinate(1)]), K_PAIR, Euclidean(), 0.1)
     assert str(exc.value) == (
-        f"modulus {wrong} failed post-validation at z=(0.0, 0.0), "
-        "y=(-0.047532931274792856, -0.09834363696053627)"
+        "no structural rule bounds rho = Euclidean() by the family metric "
+        "Coordinate(k=1) on 2-dimensional vectors"
     )
-    assert rng.random() == 0.05729901434552842
-
-
-def test_modulus_failure_and_rng_stream_are_pinned():
-    rng = random.Random(4)
-    with pytest.raises(ModulusValidationError) as exc:
-        uniform_modulus(PseudometricFamily([Coordinate(1)]), K_PAIR, Euclidean(), 0.1, rng=rng)
-    assert str(exc.value) == (
-        "no radius down to 4.5474735088646414e-14 validated around (0.0, 0.0); "
-        "rho is not controlled by the family there"
-    )
-    assert rng.random() == 0.0007246860484697581
 
 
 # --- transfer check ----------------------------------------------------------
@@ -366,7 +396,7 @@ def test_transfer_violations_report_exact_distances(monkeypatch):
     # sqrt(2) * eps, so some accepted draws must break the transfer.
     eps = 0.2
 
-    def too_large(family, K, rho, eps, rng=None):
+    def too_large(family, K, rho, eps):
         return Modulus(family.full_index(), eps)
 
     def diagonal(rng, bound):
@@ -395,7 +425,6 @@ def test_transfer_acceptance_is_strict_at_the_bound(monkeypatch):
     # eps = 0.2 under one Euclidean family: delta = eps / 2 = 0.1 = bound.
     # A draw at distance exactly 0.1 is outside the open fine ball.
     monkeypatch.setattr("skorodist.topology._MAX_ATTEMPTS_FACTOR", 2)
-    monkeypatch.setattr("skorodist.topology._SAMPLES", 50)
     x = make_step([0.0], [(0.0, 0.0)])
 
     def moved_by(shift):
