@@ -32,11 +32,18 @@ candidates inside the bracket are binary-searched: the window gaps there, and
 the piece distances of the band at the bracket's top.  Each probe
 decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
-The piece distances of a solve come from one ``Pseudometric.table``: when a
+A row's value check is the bitset of the y-pieces within eps of its x-piece.
+Under a metric with ball masks (``Pseudometric.balls``: ``Coordinate``,
+one-dimensional ``Euclidean``, ``Discrete``, and ``MaxOf`` of these) it is one
+``mask(i, eps)``, from bisects on y-values sorted once per solve, and no piece
+distance is evaluated.  Otherwise, and for the thresholds of the search, the
+piece distances come from one ``Pseudometric.table`` of the solve: when a
 probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
 and ``MaxOf`` check once per solve rather than once per pair.  A plain
-callable metric is evaluated pair by pair.
+callable metric is evaluated pair by pair.  Masks and table are built on
+first use, so a solve that its first probe settles evaluates only the two
+endpoint cells of L.
 A caller that needs only the verdict "distance <= eps" gets it from one probe
 (``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
@@ -63,6 +70,7 @@ from .pseudometric import Pseudometric, _pairwise_table
 
 CERT_TOL = 1e-9
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_UNBUILT = object()  # a _BandedDP's masks before first use
 
 
 class CertificateError(ValueError):
@@ -228,23 +236,27 @@ class _BandedDP:
     """Feasibility probes at any eps for one (x, y, d).
 
     Each probe computes the reachable states of the band at its eps, one
-    bitset per row.  The piece distances are evaluated lazily, once per
-    solve, for the states that some probe's band reaches: each row of them
-    grows at either end through one ``Pseudometric.table`` of the solve (a
-    pairwise loop for a plain callable d).  Construction checks that x and y
-    share a value space, for every entry point that builds one.
+    bitset per row.  A row's value check is one ``mask(i, eps)`` of
+    ``Pseudometric.balls``, ANDed with the band, when d has masks.
+    Otherwise, and for ``thresholds`` and ``largest_distance``, the piece
+    distances are evaluated lazily, once per solve, for the states that some
+    probe's band reaches: each row of them grows at either end through one
+    ``Pseudometric.table`` of the solve (a pairwise loop for a plain
+    callable d).  The masks and the table are built on first use.
+    Construction checks that x and y share a value space, for every entry
+    point that builds one.
     """
 
-    __slots__ = ("xv", "dist_rows", "a", "b", "one", "edges", "bs", "dist", "dist_lo")
+    __slots__ = (
+        "d", "xv", "yv", "dist_rows", "mask", "a", "b", "one", "edges", "bs",
+        "dist", "dist_lo",
+    )
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
         require_same_space(x.values[0], y.values[0])
-        self.xv, yv = x.values, y.values
-        self.dist_rows = (
-            d.table(self.xv, yv)
-            if isinstance(d, Pseudometric)
-            else _pairwise_table(d, self.xv, yv)
-        )
+        self.d, self.xv, self.yv = d, x.values, y.values
+        self.dist = None
+        self.mask = _UNBUILT
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
         ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
         one = max([den for _, den in ratios], default=1)
@@ -252,9 +264,6 @@ class _BandedDP:
         m, self.one = len(self.a), one
         # x-piece i is [edges[i], edges[i + 1]); bs are the scaled y-jumps
         self.edges, self.bs = (0, *scaled[:m], one), scaled[m:]
-        # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
-        self.dist = [[] for _ in self.xv]
-        self.dist_lo = [0] * len(self.xv)
 
     def scaled(self, eps):
         """floor(min(eps, 1) * S), the eps of a time comparison."""
@@ -265,6 +274,16 @@ class _BandedDP:
 
     def distances(self, i, lo, hi):
         """[d(x-piece i, y-piece j) for j = lo..hi]."""
+        if self.dist is None:  # first use: the table and an empty cache
+            d, xv, yv = self.d, self.xv, self.yv
+            self.dist_rows = (
+                d.table(xv, yv)
+                if isinstance(d, Pseudometric)
+                else _pairwise_table(d, xv, yv)
+            )
+            # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
+            self.dist = [[] for _ in xv]
+            self.dist_lo = [0] * len(xv)
         row, start = self.dist[i], self.dist_lo[i]
         if not row:
             start = self.dist_lo[i] = lo
@@ -278,6 +297,14 @@ class _BandedDP:
 
     def matches(self, i, lo, hi, eps):
         """Bitset of the j = lo..hi with d(x-piece i, y-piece j) <= eps."""
+        mask = self.mask
+        if mask is _UNBUILT:
+            d = self.d
+            mask = self.mask = (
+                d.balls(self.xv, self.yv) if isinstance(d, Pseudometric) else None
+            )
+        if mask is not None:
+            return mask(i, eps) & (2 << hi) - (1 << lo)
         dists = self.distances(i, lo, hi)[::-1]
         try:
             flags = bytes(map(operator.le, dists, repeat(eps)))
@@ -307,8 +334,9 @@ class _BandedDP:
         e = self.scaled(eps)
         rows = []
         reach, above_hi = 1, 0  # a virtual state above the start state (0, 0)
+        matches = self.matches
         for i, lo, hi in self.band(e):
-            allowed = self.matches(i, lo, hi, eps)
+            allowed = matches(i, lo, hi, eps)
             xmask = (2 << above_hi) - 1  # r_j <= s_i + e
             ymask = -2 << lo  # s_i - e <= r_j
             seeds = (reach | (reach << 1) & ymask) & xmask & allowed

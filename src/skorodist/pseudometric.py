@@ -22,8 +22,9 @@ arises at runtime.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 from .cadlag import Value, ValueSpaceMismatch
 from .maps import map_from_config
@@ -32,15 +33,26 @@ from .maps import map_from_config
 class Pseudometric:
     """Base class; concrete kinds are frozen dataclasses implementing __call__.
 
-    ``table(xs, ys)`` evaluates many pairs at once: it returns ``rows`` with
+    Two batch methods serve a distance solve, which builds each of them at
+    most once, on first use.  Their results are bit-identical to
+    ``__call__``.
+
+    ``table(xs, ys)`` returns ``rows`` with
     ``rows(i, lo, hi) == [self(xs[i], y) for y in ys[lo:hi]]``.  By default
     that is one call per pair.  ``Coordinate``, ``Euclidean`` and ``MaxOf``
-    override it to check the value space of all of ``xs`` and ``ys`` once and
-    to compute the values without a Python call per pair; their results are
-    bit-identical to ``__call__``.  Where the check fails they fall back to
-    the pairwise loop, so a bad value raises the error of the first bad pair
-    that a row reaches.  A distance solve builds one table per solve and
-    fills its piece distances row by row through it.
+    check the value space of all of ``xs`` and ``ys`` once (a ``MaxOf`` once
+    for all its parts) and compute the values without a Python call per
+    pair.  Where the check fails they fall back to the pairwise loop, so a
+    bad value raises the error of the first bad pair that a row reaches.
+
+    ``balls(xs, ys)`` returns ``mask`` with ``mask(i, eps)`` the int bitset
+    of the j with ``self(xs[i], ys[j]) <= eps``, or None when the metric has
+    no such structure, as by default.  ``Coordinate`` and one-dimensional
+    ``Euclidean`` get masks from ys sorted by value, ``Discrete`` from one
+    bitset per distinct value, and ``MaxOf`` of such parts as the AND of its
+    parts' masks.  Where some pair would fail, or a coordinate is not a
+    finite float, ``balls`` returns None and a solve uses the table, which
+    raises as before.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
@@ -48,6 +60,32 @@ class Pseudometric:
 
     def table(self, xs, ys):
         return _pairwise_table(self, xs, ys)
+
+    def balls(self, xs, ys):
+        return None
+
+    def _table(self, xs, ys, dim):
+        """``table``, given dim = _common_dim(xs, ys), which a MaxOf finds
+        once for all its parts."""
+        return self.table(xs, ys)
+
+    def _coords(self, dim):
+        """The 0-based k with self(a, b) = max_k |a[k] - b[k]| on vectors of
+        dimension dim, or None."""
+        return None
+
+
+class _Dimensioned(Pseudometric):
+    """A kind whose batch methods read the common dimension of xs and ys,
+    found once per ``table`` or ``balls``; its masks are those of the
+    coordinates that ``_coords`` names."""
+
+    def table(self, xs, ys):
+        return self._table(xs, ys, _common_dim(xs, ys))
+
+    def balls(self, xs, ys):
+        ks = self._coords(_float_dim(xs, ys))
+        return None if ks is None else _sorted_balls(xs, ys, ks)
 
 
 def _pairwise_table(d, xs, ys):
@@ -58,6 +96,64 @@ def _pairwise_table(d, xs, ys):
         return [d(a, b) for b in ys[lo:hi]]
 
     return rows
+
+
+def _float_dim(xs, ys):
+    """The one dimension of xs and ys when all of them are vectors of finite
+    floats, or None: the values on which ``_sorted_balls`` is exact."""
+    try:
+        dims = {*map(len, xs), *map(len, ys)}
+        flat = [*chain.from_iterable(xs), *chain.from_iterable(ys)]
+    except TypeError:
+        return None
+    if len(dims) != 1 or set(map(type, flat)) != {float}:
+        return None
+    return dims.pop() if all(map(math.isfinite, flat)) else None
+
+
+def _sorted_balls(xs, ys, ks):
+    """``balls`` of the maximum over k in ks of abs(a[k] - b[k]), for
+    vectors of finite floats (``_float_dim``).
+
+    Rounding is monotone, so fl(|a_k - v|) is monotone in v on each side of
+    a_k, and the j with |a_k - ys[j][k]| <= eps are one run of ys sorted by
+    coordinate k.  Bisects at a_k - eps and a_k + eps find the run up to
+    their own rounding, and the exact predicate settles each end, a run of
+    equal values at a time.  With P[r] the bits of the first r sorted
+    positions, the run's mask is P[hi] ^ P[lo], and the maximum's is the AND
+    over ks.
+    """
+    n, columns = len(ys), []
+    for k in set(ks):
+        vs = [b[k] for b in ys]
+        prefix = [acc := 0]
+        for j in sorted(range(n), key=vs.__getitem__):
+            prefix.append(acc := acc | 1 << j)
+        columns.append((k, sorted(vs), prefix))
+
+    def mask(i, eps):
+        if not eps >= 0.0:
+            return 0
+        out = -1
+        for k, vals, prefix in columns:
+            a = xs[i][k]
+            # lo and hi bracket the position of a in vals, so each end is on
+            # its own monotone side: below lo, abs(a - v) is a - v, and from
+            # hi on it is v - a
+            lo = bisect_left(vals, a - eps)
+            hi = bisect_right(vals, a + eps)
+            while lo and a - vals[lo - 1] <= eps:
+                lo = bisect_left(vals, vals[lo - 1], 0, lo - 1)
+            while lo < hi and abs(a - vals[lo]) > eps:
+                lo = bisect_right(vals, vals[lo], lo, hi)
+            while hi < n and vals[hi] - a <= eps:
+                hi = bisect_right(vals, vals[hi], hi + 1)
+            while hi > lo and abs(a - vals[hi - 1]) > eps:
+                hi = bisect_left(vals, vals[hi - 1], lo, hi - 1)
+            out &= prefix[hi] ^ prefix[lo]
+        return out
+
+    return mask
 
 
 def _vector_pair(a: Value, b: Value):
@@ -85,7 +181,7 @@ def _common_dim(xs, ys):
 
 
 @dataclass(frozen=True)
-class Coordinate(Pseudometric):
+class Coordinate(_Dimensioned):
     """|a_k - b_k| for a fixed 1-based coordinate k."""
 
     k: int
@@ -102,10 +198,9 @@ class Coordinate(Pseudometric):
             )
         return abs(a[self.k - 1] - b[self.k - 1])
 
-    def table(self, xs, ys):
-        dim = _common_dim(xs, ys)
+    def _table(self, xs, ys, dim):
         if dim is None or self.k > dim:
-            return super().table(xs, ys)  # raises as the first bad pair does
+            return _pairwise_table(self, xs, ys)  # raises as the first bad pair does
         k = self.k - 1
 
         def rows(i, lo, hi):
@@ -114,21 +209,33 @@ class Coordinate(Pseudometric):
 
         return rows
 
+    def _coords(self, dim):
+        return None if dim is None or self.k > dim else [self.k - 1]
+
 
 @dataclass(frozen=True)
-class Euclidean(Pseudometric):
+class Euclidean(_Dimensioned):
     def __call__(self, a, b):
         a, b = _vector_pair(a, b)
         return math.dist(a, b)
 
-    def table(self, xs, ys):
-        if _common_dim(xs, ys) is None:
-            return super().table(xs, ys)  # raises as the first bad pair does
+    def _table(self, xs, ys, dim):
+        if dim is None:
+            return _pairwise_table(self, xs, ys)  # raises as the first bad pair does
 
         def rows(i, lo, hi):
             return list(map(math.dist, repeat(xs[i]), ys[lo:hi]))
 
         return rows
+
+    def balls(self, xs, ys):
+        # Only 1-vectors have masks: turn the others away at the first value.
+        if not (xs and type(xs[0]) is tuple and len(xs[0]) == 1):
+            return None
+        return _Dimensioned.balls(self, xs, ys)
+
+    def _coords(self, dim):
+        return [0] if dim == 1 else None  # math.dist of 1-vectors is abs(a - b)
 
 
 @dataclass(frozen=True)
@@ -141,6 +248,24 @@ class Discrete(Pseudometric):
         if not isinstance(a, str):
             _vector_pair(a, b)
         return 0.0 if a == b else 1.0
+
+    def balls(self, xs, ys):
+        labels = all(issubclass(t, str) for t in {*map(type, chain(xs, ys))})
+        if not labels and _common_dim(xs, ys) is None:
+            return None  # a pair fails, and the table says which
+        groups = {}
+        try:
+            for j, b in enumerate(ys):
+                groups[b] = groups.get(b, 0) | 1 << j
+            same = [groups.get(a, 0) for a in xs]
+        except TypeError:  # unhashable values
+            return None
+        every = (1 << len(ys)) - 1
+
+        def mask(i, eps):
+            return every if eps >= 1.0 else same[i] if eps >= 0.0 else 0
+
+        return mask
 
 
 @dataclass(frozen=True)
@@ -168,7 +293,7 @@ class PulledBack(Pseudometric):
 
 
 @dataclass(frozen=True)
-class MaxOf(Pseudometric):
+class MaxOf(_Dimensioned):
     parts: tuple[Pseudometric, ...]
 
     def __post_init__(self):
@@ -179,8 +304,8 @@ class MaxOf(Pseudometric):
     def __call__(self, a, b):
         return max(p(a, b) for p in self.parts)
 
-    def table(self, xs, ys):
-        first, *rest = [p.table(xs, ys) for p in self.parts]
+    def _table(self, xs, ys, dim):
+        first, *rest = [p._table(xs, ys, dim) for p in self.parts]
 
         def rows(i, lo, hi):
             # max(max(u, v), w) picks what max(u, v, w) picks, NaN included
@@ -197,6 +322,37 @@ class MaxOf(Pseudometric):
 
         return rows
 
+    def balls(self, xs, ys):
+        # A part of a kind without masks turns the maximum away unscanned.
+        for p in self.parts:
+            if type(p).balls is Pseudometric.balls:
+                return None
+        ks = self._coords(_float_dim(xs, ys))
+        if ks is not None:
+            return _sorted_balls(xs, ys, ks)
+        # max(u, v) <= eps iff u <= eps and v <= eps, as no part gives NaN
+        masks = [p.balls(xs, ys) for p in self.parts]
+        if None in masks:
+            return None
+        first, *rest = masks
+
+        def both(i, eps):
+            out = first(i, eps)
+            for part in rest:
+                out &= part(i, eps)
+            return out
+
+        return both
+
+    def _coords(self, dim):
+        out = []
+        for p in self.parts:
+            ks = p._coords(dim)
+            if ks is None:
+                return None
+            out += ks
+        return out
+
 
 def metric_from_config(obj: dict) -> Pseudometric:
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -209,7 +365,7 @@ def metric_from_config(obj: dict) -> Pseudometric:
     if kind == "discrete":
         return Discrete()
     if kind == "scaled":
-        factor = float(obj["factor"])
+        factor = float(obj["factor"]) + 0.0  # -0.0 to 0.0
         if not 0.0 <= factor < math.inf:
             raise ValueError(f"scaled factor must be finite and >= 0, got {factor}")
         return Scaled(factor, metric_from_config(obj["inner"]))

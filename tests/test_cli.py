@@ -216,6 +216,16 @@ def test_distance_rejects_malformed_family_config(generator, traces, tmp_path, c
     assert captured.err.count("\n") == 1
 
 
+def test_distance_reads_a_negative_zero_factor_as_zero(traces, tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    generator = {"kind": "scaled", "factor": -0.0, "inner": {"kind": "euclidean"}}
+    fam.write_text(json.dumps({"generators": [generator]}))
+    assert main(["distance", traces["x"], traces["x"], "--family", str(fam), "--metric", "1"]) == 0
+    out = capsys.readouterr().out
+    assert '"value_sup": 0.0' in out
+    assert "-0.0" not in out
+
+
 def test_distance_rejects_an_overflowing_metric(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

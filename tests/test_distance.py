@@ -348,6 +348,75 @@ def test_search_stops_at_the_lower_bound(monkeypatch):
     assert math.copysign(1.0, res.value) == 1.0
 
 
+def _mask_pair(rng, m, plane):
+    """x with m jumps, and y independent of x or a small perturbation of
+    it; coordinates are drawn from a few levels (ties) or uniformly."""
+    levels = [0.0, 0.25, 0.5, 1.0]
+
+    def coord():
+        return rng.choice(levels) if rng.random() < 0.5 else rng.random()
+
+    def value():
+        return (coord(), coord()) if plane else (coord(),)
+
+    def times():
+        return [0.0, *sorted(rng.sample(range(1, 1 << 20), m))]
+
+    tx = [t / (1 << 20) for t in times()]
+    x = make_step(tx, [value() for _ in tx])
+    if rng.random() < 0.5:
+        ty = [t / (1 << 20) for t in times()]
+        return x, make_step(ty, [value() for _ in ty])
+    ty = sorted({0.0, *(min(max(t + rng.uniform(-0.01, 0.01), 0.0), 0.999) for t in tx[1:])})
+    vy = [tuple(c + rng.choice((0.0, 0.01)) for c in x(t)) for t in ty]
+    return x, make_step(ty, vy)
+
+
+def test_mask_metrics_solve_as_the_table_does():
+    # A plain callable has no masks, so the DP evaluates it through the
+    # table and compares each piece distance with eps.
+    rng = random.Random(21)
+    for case in range(40):
+        plane = case % 2 == 1
+        d = MAXC if plane else ABS
+        x, y = _mask_pair(rng, rng.choice((0, 1, 3, 16, 64)), plane)
+        got = skorohod_distance(x, y, d)
+        want = skorohod_distance(x, y, lambda a, b: d(a, b))
+        assert got.value.hex() == want.value.hex()
+        assert got.certificate == want.certificate
+        assert (got.time_sup, got.value_sup) == (want.time_sup, want.value_sup)
+
+
+@pytest.mark.parametrize("d", [MAXC, ABS], ids=["max-coordinate", "euclidean-1d"])
+def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
+    # Without masks, the probe at L would evaluate the band's piece
+    # distances, nearly all m * p of them at this L.
+    cells = []
+    kind = type(d)
+    table = kind.table
+
+    def counting(self, xs, ys):
+        rows = table(self, xs, ys)
+
+        def counted(i, lo, hi):
+            cells.append(hi - lo)
+            return rows(i, lo, hi)
+
+        return counted
+
+    monkeypatch.setattr(kind, "table", counting)
+    rng = random.Random(3)
+    x, _ = _mask_pair(rng, 64, d is MAXC)
+    # y differs from x only on its first piece, by about 0.9, which binds
+    first = tuple(c + 0.9 for c in x.values[0])
+    y = make_step(x.times, [first, *x.values[1:]])
+    low = d(x.values[0], first)
+    assert _within(x, y, low, d) and not _within(x, y, math.nextafter(low, 0.0), d)
+    assert cells == []
+    assert skorohod_distance(x, y, d).value == low
+    assert cells == [1, 1]
+
+
 def test_distance_rejects_non_finite_metric():
     with pytest.raises(ValueError, match="non-finite"):
         skorohod_distance(IND_05, IND_06, Scaled(float("inf"), ABS))

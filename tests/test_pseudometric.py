@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -352,3 +353,116 @@ def test_table_edge_cases():
     assert rows(0, 0, 2) == [3.0, 4.0]
     with pytest.raises(ValueSpaceMismatch, match="label"):
         rows(1, 1, 2)
+
+
+# --- value-sorted ball masks -------------------------------------------------
+
+# Ties, differences that overflow to inf, the least subnormal, and adjacent
+# floats (an ulp is 2 at 1e16), where a - eps and a + eps round.
+_EDGE = [
+    0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324,
+    -5e-324, 1e16, 1e16 + 2, 1e16 + 4, 3.0, 2.9999999999999996,
+]
+_edge = st.one_of(st.sampled_from(_EDGE), st.floats(allow_nan=False, allow_infinity=False))
+_MASKED = [
+    Coordinate(1),
+    Coordinate(2),
+    MaxOf((Coordinate(1), Coordinate(2))),
+    MaxOf((Coordinate(2), Coordinate(2), Coordinate(1))),
+    MaxOf((Discrete(), Coordinate(2))),  # the AND of two kinds of mask
+    MaxOf((MaxOf((Coordinate(2),)), Coordinate(1))),
+]
+
+
+def _direct_mask(d, a, ys, eps):
+    return sum(1 << j for j, b in enumerate(ys) if d(a, b) <= eps)
+
+
+def _check_masks(d, xs, ys, extra_eps):
+    mask = d.balls(xs, ys)
+    assert mask is not None
+    for i, a in enumerate(xs):
+        eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, *extra_eps}
+        for b in ys:
+            v = d(a, b)
+            eps_values.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+        for eps in eps_values:
+            assert mask(i, eps) == _direct_mask(d, a, ys, eps), (i, eps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(_MASKED),
+    xs=st.lists(st.tuples(_edge, _edge), min_size=1, max_size=6),
+    ys=st.lists(st.tuples(_edge, _edge), max_size=10),
+    eps=st.floats(0.0, 2.0),
+)
+def test_ball_masks_are_the_direct_comparison(d, xs, ys, eps):
+    _check_masks(d, xs, ys, [eps])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([Euclidean(), Coordinate(1), MaxOf((Euclidean(), Coordinate(1)))]),
+    xs=st.lists(_edge.map(lambda v: (v,)), min_size=1, max_size=6),
+    ys=st.lists(_edge.map(lambda v: (v,)), max_size=10),
+    eps=st.floats(0.0, 2.0),
+)
+def test_ball_masks_on_scalars(d, xs, ys, eps):
+    _check_masks(d, xs, ys, [eps])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    xs=st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
+    ys=st.lists(st.sampled_from("abcd"), max_size=10),
+    vector=st.booleans(),
+)
+def test_discrete_ball_masks(xs, ys, vector):
+    if vector:
+        xs = [(float(ord(c)), 0.0) for c in xs]
+        ys = [(float(ord(c)), -0.0) for c in ys]
+    _check_masks(Discrete(), xs, ys, [0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "d, xs, ys",
+    [
+        # a label among the xs
+        (Coordinate(1), [(0.0,), "idle"], [(1.0,)]),
+        (Euclidean(), [(0.0,), "idle"], [(1.0,)]),
+        (MaxOf((Coordinate(1), Euclidean())), [(0.0,), "idle"], [(1.0,)]),
+        (Discrete(), [(0.0,), "idle"], [(1.0,)]),
+        # mixed dimensions
+        (Coordinate(1), [(0.0,)], [(1.0,), (1.0, 2.0)]),
+        (Euclidean(), [(0.0,)], [(1.0,), (1.0, 2.0)]),
+        (MaxOf((Coordinate(1),)), [(0.0, 1.0)], [(1.0,)]),
+        (Discrete(), [(0.0,)], [(1.0, 2.0)]),
+        # a coordinate past the dimension
+        (Coordinate(3), [(0.0, 1.0)], [(1.0, 1.0)]),
+        (MaxOf((Coordinate(1), Coordinate(3))), [(0.0, 1.0)], [(1.0, 1.0)]),
+    ],
+)
+def test_bad_values_give_no_masks_and_the_table_raises(d, xs, ys):
+    assert d.balls(xs, ys) is None
+    rows = d.table(xs, ys)
+    for i, a in enumerate(xs):
+        want = _outcome(lambda: [d(a, b) for b in ys])
+        assert _outcome(lambda: rows(i, 0, len(ys))) == want
+
+
+def test_kinds_without_masks():
+    vectors = [(0.0, 1.0)], [(1.0, 1.0)]
+    scalars = [(0.0,)], [(1.0,)]
+    for d, (xs, ys) in (
+        (Euclidean(), vectors),  # multi-D
+        (Scaled(2.0, Coordinate(1)), scalars),
+        (PulledBack(Identity(), Coordinate(1)), scalars),
+        (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), vectors),
+        # values that are not finite floats
+        (Coordinate(1), ([(math.nan,)], [(1.0,)])),
+        (Coordinate(1), ([(0.0,)], [(math.inf,)])),
+        (Coordinate(1), ([(0,)], [(1.0,)])),
+        (Discrete(), ([[0.0]], [[1.0]])),  # unhashable
+    ):
+        assert d.balls(xs, ys) is None, d
