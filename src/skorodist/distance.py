@@ -34,16 +34,16 @@ decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
 A row's value check is the bitset of the y-pieces within eps of its x-piece.
 Under a metric with ball masks (``Pseudometric.balls``: ``Coordinate``,
-one-dimensional ``Euclidean``, ``Discrete``, and ``MaxOf`` of these) it is one
+one-dimensional ``Euclidean``, and ``MaxOf`` of these) it is one
 ``mask(i, eps)``, from bisects on y-values sorted once per solve, and no piece
 distance is evaluated.  Otherwise, and for the thresholds of the search, the
 piece distances come from one ``Pseudometric.table`` of the solve: when a
 probe's band reaches past the distances known so far, a row grows at either
-end by one batched evaluation, whose value space ``Coordinate``, ``Euclidean``
-and ``MaxOf`` check once per solve rather than once per pair.  A plain
-callable metric is evaluated pair by pair.  Masks and table are built on
-first use, so a solve that its first probe settles evaluates only the two
-endpoint cells of L.
+end by one batched evaluation, with no Python call per pair under
+``Coordinate``, ``Euclidean`` and ``MaxOf``.  A plain callable metric is
+evaluated pair by pair.  The table evaluates nothing until a row is asked
+for, so a solve that its first probe settles under a mask metric evaluates
+only the two endpoint cells of L.
 A caller that needs only the verdict "distance <= eps" gets it from one probe
 (``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
@@ -70,7 +70,6 @@ from .pseudometric import Pseudometric, _pairwise_table
 
 CERT_TOL = 1e-9
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_UNBUILT = object()  # a _BandedDP's masks before first use
 
 
 class CertificateError(ValueError):
@@ -242,21 +241,25 @@ class _BandedDP:
     distances are evaluated lazily, once per solve, for the states that some
     probe's band reaches: each row of them grows at either end through one
     ``Pseudometric.table`` of the solve (a pairwise loop for a plain
-    callable d).  The masks and the table are built on first use.
-    Construction checks that x and y share a value space, for every entry
-    point that builds one.
+    callable d).  Construction checks that x and y share a value space, for
+    every entry point that builds one, and builds the table and the masks
+    from that space without scanning the values: ``make_step`` has checked
+    them.  Every entry point probes, so the masks are used once built.
     """
 
     __slots__ = (
-        "d", "xv", "yv", "dist_rows", "mask", "a", "b", "one", "edges", "bs",
-        "dist", "dist_lo",
+        "xv", "dist_rows", "mask", "a", "b", "one", "edges", "bs", "dist", "dist_lo",
     )
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
         require_same_space(x.values[0], y.values[0])
-        self.d, self.xv, self.yv = d, x.values, y.values
-        self.dist = None
-        self.mask = _UNBUILT
+        self.xv, yv = x.values, y.values
+        if isinstance(d, Pseudometric):
+            dim = None if isinstance(yv[0], str) else len(yv[0])
+            self.dist_rows = d._table(self.xv, yv, dim)
+            self.mask = d._balls(self.xv, yv, dim)
+        else:
+            self.dist_rows, self.mask = _pairwise_table(d, self.xv, yv), None
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
         ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
         one = max([den for _, den in ratios], default=1)
@@ -264,6 +267,9 @@ class _BandedDP:
         m, self.one = len(self.a), one
         # x-piece i is [edges[i], edges[i + 1]); bs are the scaled y-jumps
         self.edges, self.bs = (0, *scaled[:m], one), scaled[m:]
+        # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
+        self.dist = [[] for _ in self.xv]
+        self.dist_lo = [0] * len(self.xv)
 
     def scaled(self, eps):
         """floor(min(eps, 1) * S), the eps of a time comparison."""
@@ -274,16 +280,6 @@ class _BandedDP:
 
     def distances(self, i, lo, hi):
         """[d(x-piece i, y-piece j) for j = lo..hi]."""
-        if self.dist is None:  # first use: the table and an empty cache
-            d, xv, yv = self.d, self.xv, self.yv
-            self.dist_rows = (
-                d.table(xv, yv)
-                if isinstance(d, Pseudometric)
-                else _pairwise_table(d, xv, yv)
-            )
-            # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
-            self.dist = [[] for _ in xv]
-            self.dist_lo = [0] * len(xv)
         row, start = self.dist[i], self.dist_lo[i]
         if not row:
             start = self.dist_lo[i] = lo
@@ -297,14 +293,8 @@ class _BandedDP:
 
     def matches(self, i, lo, hi, eps):
         """Bitset of the j = lo..hi with d(x-piece i, y-piece j) <= eps."""
-        mask = self.mask
-        if mask is _UNBUILT:
-            d = self.d
-            mask = self.mask = (
-                d.balls(self.xv, self.yv) if isinstance(d, Pseudometric) else None
-            )
-        if mask is not None:
-            return mask(i, eps) & (2 << hi) - (1 << lo)
+        if self.mask is not None:
+            return self.mask(i, eps) & (2 << hi) - (1 << lo)
         dists = self.distances(i, lo, hi)[::-1]
         try:
             flags = bytes(map(operator.le, dists, repeat(eps)))

@@ -33,9 +33,8 @@ from .maps import map_from_config
 class Pseudometric:
     """Base class; concrete kinds are frozen dataclasses implementing __call__.
 
-    Two batch methods serve a distance solve, which builds each of them at
-    most once, on first use.  Their results are bit-identical to
-    ``__call__``.
+    Two batch methods serve a distance solve, which builds each of them once.
+    Their results are bit-identical to ``__call__``.
 
     ``table(xs, ys)`` returns ``rows`` with
     ``rows(i, lo, hi) == [self(xs[i], y) for y in ys[lo:hi]]``.  By default
@@ -47,12 +46,16 @@ class Pseudometric:
 
     ``balls(xs, ys)`` returns ``mask`` with ``mask(i, eps)`` the int bitset
     of the j with ``self(xs[i], ys[j]) <= eps``, or None when the metric has
-    no such structure, as by default.  ``Coordinate`` and one-dimensional
-    ``Euclidean`` get masks from ys sorted by value, ``Discrete`` from one
-    bitset per distinct value, and ``MaxOf`` of such parts as the AND of its
-    parts' masks.  Where some pair would fail, or a coordinate is not a
-    finite float, ``balls`` returns None and a solve uses the table, which
-    raises as before.
+    no such structure, as by default.  ``Coordinate``, one-dimensional
+    ``Euclidean`` and ``MaxOf`` of these get masks from ys sorted by value,
+    one sort per coordinate.  Where some pair would fail, or a coordinate is
+    not a finite float, ``balls`` returns None and a solve uses the table,
+    which raises as before.
+
+    A solve reads the values of two step functions of one value space, which
+    ``make_step`` has checked: all vectors of finite floats of one dimension,
+    or all labels.  It calls ``_table`` and ``_balls`` with that dimension
+    (None for labels), which skip the scans of ``table`` and ``balls``.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
@@ -65,9 +68,13 @@ class Pseudometric:
         return None
 
     def _table(self, xs, ys, dim):
-        """``table``, given dim = _common_dim(xs, ys), which a MaxOf finds
-        once for all its parts."""
+        """``table``, given dim = _common_dim(xs, ys)."""
         return self.table(xs, ys)
+
+    def _balls(self, xs, ys, dim):
+        """``balls``, given that xs and ys are all vectors of finite floats
+        of dimension dim, or dim is None."""
+        return self.balls(xs, ys)
 
     def _coords(self, dim):
         """The 0-based k with self(a, b) = max_k |a[k] - b[k]| on vectors of
@@ -84,7 +91,14 @@ class _Dimensioned(Pseudometric):
         return self._table(xs, ys, _common_dim(xs, ys))
 
     def balls(self, xs, ys):
-        ks = self._coords(_float_dim(xs, ys))
+        try:
+            dim = len(xs[0])
+        except (IndexError, TypeError):
+            return None
+        return self._balls(xs, ys, dim) if _float_vectors(xs, ys, dim) else None
+
+    def _balls(self, xs, ys, dim):
+        ks = self._coords(dim)
         return None if ks is None else _sorted_balls(xs, ys, ks)
 
 
@@ -98,22 +112,24 @@ def _pairwise_table(d, xs, ys):
     return rows
 
 
-def _float_dim(xs, ys):
-    """The one dimension of xs and ys when all of them are vectors of finite
-    floats, or None: the values on which ``_sorted_balls`` is exact."""
+def _float_vectors(xs, ys, dim):
+    """Whether all of xs and ys are dim-vectors of finite floats: the values
+    on which ``_sorted_balls`` is exact."""
     try:
         dims = {*map(len, xs), *map(len, ys)}
         flat = [*chain.from_iterable(xs), *chain.from_iterable(ys)]
     except TypeError:
-        return None
-    if len(dims) != 1 or set(map(type, flat)) != {float}:
-        return None
-    return dims.pop() if all(map(math.isfinite, flat)) else None
+        return False
+    return (
+        dims == {dim}
+        and set(map(type, flat)) == {float}
+        and all(map(math.isfinite, flat))
+    )
 
 
 def _sorted_balls(xs, ys, ks):
     """``balls`` of the maximum over k in ks of abs(a[k] - b[k]), for
-    vectors of finite floats (``_float_dim``).
+    vectors of finite floats (``_float_vectors``).
 
     Rounding is monotone, so fl(|a_k - v|) is monotone in v on each side of
     a_k, and the j with |a_k - ys[j][k]| <= eps are one run of ys sorted by
@@ -228,12 +244,6 @@ class Euclidean(_Dimensioned):
 
         return rows
 
-    def balls(self, xs, ys):
-        # Only 1-vectors have masks: turn the others away at the first value.
-        if not (xs and type(xs[0]) is tuple and len(xs[0]) == 1):
-            return None
-        return _Dimensioned.balls(self, xs, ys)
-
     def _coords(self, dim):
         return [0] if dim == 1 else None  # math.dist of 1-vectors is abs(a - b)
 
@@ -248,24 +258,6 @@ class Discrete(Pseudometric):
         if not isinstance(a, str):
             _vector_pair(a, b)
         return 0.0 if a == b else 1.0
-
-    def balls(self, xs, ys):
-        labels = all(issubclass(t, str) for t in {*map(type, chain(xs, ys))})
-        if not labels and _common_dim(xs, ys) is None:
-            return None  # a pair fails, and the table says which
-        groups = {}
-        try:
-            for j, b in enumerate(ys):
-                groups[b] = groups.get(b, 0) | 1 << j
-            same = [groups.get(a, 0) for a in xs]
-        except TypeError:  # unhashable values
-            return None
-        every = (1 << len(ys)) - 1
-
-        def mask(i, eps):
-            return every if eps >= 1.0 else same[i] if eps >= 0.0 else 0
-
-        return mask
 
 
 @dataclass(frozen=True)
@@ -321,28 +313,6 @@ class MaxOf(_Dimensioned):
             return out
 
         return rows
-
-    def balls(self, xs, ys):
-        # A part of a kind without masks turns the maximum away unscanned.
-        for p in self.parts:
-            if type(p).balls is Pseudometric.balls:
-                return None
-        ks = self._coords(_float_dim(xs, ys))
-        if ks is not None:
-            return _sorted_balls(xs, ys, ks)
-        # max(u, v) <= eps iff u <= eps and v <= eps, as no part gives NaN
-        masks = [p.balls(xs, ys) for p in self.parts]
-        if None in masks:
-            return None
-        first, *rest = masks
-
-        def both(i, eps):
-            out = first(i, eps)
-            for part in rest:
-                out &= part(i, eps)
-            return out
-
-        return both
 
     def _coords(self, dim):
         out = []

@@ -393,10 +393,10 @@ def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
     # distances, nearly all m * p of them at this L.
     cells = []
     kind = type(d)
-    table = kind.table
+    table = kind._table  # the table of a solve
 
-    def counting(self, xs, ys):
-        rows = table(self, xs, ys)
+    def counting(self, xs, ys, dim):
+        rows = table(self, xs, ys, dim)
 
         def counted(i, lo, hi):
             cells.append(hi - lo)
@@ -404,7 +404,7 @@ def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(kind, "table", counting)
+    monkeypatch.setattr(kind, "_table", counting)
     rng = random.Random(3)
     x, _ = _mask_pair(rng, 64, d is MAXC)
     # y differs from x only on its first piece, by about 0.9, which binds

@@ -369,7 +369,6 @@ _MASKED = [
     Coordinate(2),
     MaxOf((Coordinate(1), Coordinate(2))),
     MaxOf((Coordinate(2), Coordinate(2), Coordinate(1))),
-    MaxOf((Discrete(), Coordinate(2))),  # the AND of two kinds of mask
     MaxOf((MaxOf((Coordinate(2),)), Coordinate(1))),
 ]
 
@@ -412,19 +411,6 @@ def test_ball_masks_on_scalars(d, xs, ys, eps):
     _check_masks(d, xs, ys, [eps])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    xs=st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
-    ys=st.lists(st.sampled_from("abcd"), max_size=10),
-    vector=st.booleans(),
-)
-def test_discrete_ball_masks(xs, ys, vector):
-    if vector:
-        xs = [(float(ord(c)), 0.0) for c in xs]
-        ys = [(float(ord(c)), -0.0) for c in ys]
-    _check_masks(Discrete(), xs, ys, [0.5, 1.0, 2.0])
-
-
 @pytest.mark.parametrize(
     "d, xs, ys",
     [
@@ -432,12 +418,10 @@ def test_discrete_ball_masks(xs, ys, vector):
         (Coordinate(1), [(0.0,), "idle"], [(1.0,)]),
         (Euclidean(), [(0.0,), "idle"], [(1.0,)]),
         (MaxOf((Coordinate(1), Euclidean())), [(0.0,), "idle"], [(1.0,)]),
-        (Discrete(), [(0.0,), "idle"], [(1.0,)]),
         # mixed dimensions
         (Coordinate(1), [(0.0,)], [(1.0,), (1.0, 2.0)]),
         (Euclidean(), [(0.0,)], [(1.0,), (1.0, 2.0)]),
         (MaxOf((Coordinate(1),)), [(0.0, 1.0)], [(1.0,)]),
-        (Discrete(), [(0.0,)], [(1.0, 2.0)]),
         # a coordinate past the dimension
         (Coordinate(3), [(0.0, 1.0)], [(1.0, 1.0)]),
         (MaxOf((Coordinate(1), Coordinate(3))), [(0.0, 1.0)], [(1.0, 1.0)]),
@@ -456,6 +440,7 @@ def test_kinds_without_masks():
     scalars = [(0.0,)], [(1.0,)]
     for d, (xs, ys) in (
         (Euclidean(), vectors),  # multi-D
+        (Discrete(), scalars),
         (Scaled(2.0, Coordinate(1)), scalars),
         (PulledBack(Identity(), Coordinate(1)), scalars),
         (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), vectors),
@@ -463,6 +448,5 @@ def test_kinds_without_masks():
         (Coordinate(1), ([(math.nan,)], [(1.0,)])),
         (Coordinate(1), ([(0.0,)], [(math.inf,)])),
         (Coordinate(1), ([(0,)], [(1.0,)])),
-        (Discrete(), ([[0.0]], [[1.0]])),  # unhashable
     ):
         assert d.balls(xs, ys) is None, d
