@@ -147,9 +147,10 @@ class StepFunction:
     def normalize(self) -> StepFunction:
         """Merge adjacent pieces with exactly equal values.
 
-        Idempotent, preserves evaluation everywhere, and yields the minimal
-        representation of the same function.  Equality is exact (bitwise per
-        coordinate); no approximate merging happens here.
+        Idempotent, preserves evaluation everywhere up to ``==``, and yields
+        the minimal representation of the same function.  Equality is ``==``
+        per coordinate, so pieces of 0.0 and -0.0 merge; no approximate
+        merging happens here.
         """
         ts = [self.times[0]]
         vs = [self.values[0]]

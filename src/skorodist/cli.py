@@ -7,7 +7,9 @@ suites), and ``example-k`` (the K-topology demonstration report).
 
 All I/O is JSON; output is byte-identical for identical inputs and seed.
 Exit codes: 0 success, 1 check/suite failure, 2 parse error or rejected input
-(a non-finite distance), 3 value-space mismatch, 4 invalid certificate.
+(a non-finite distance, or a trace, family config or metric nested deeper
+than the interpreter's recursion limit), 3 value-space mismatch, 4 invalid
+certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _load_trace(path):
 
 def _resolve_metric(args, x, y):
     """Pick the value pseudometric: a family index when --family is given,
-    otherwise euclidean for vectors / discrete for labels."""
+    otherwise the named metric, or without --metric euclidean for vectors and
+    discrete for labels."""
     if args.family:
         try:
             config = json.loads(Path(args.family).read_text(encoding="utf-8"))
@@ -67,9 +70,11 @@ def _resolve_metric(args, x, y):
             except ValueError as exc:
                 raise TraceParseError(f"bad index {args.metric!r}: {exc}") from exc
         return family.metric(family.full_index())
-    if args.metric in (None, "euclidean", "discrete"):
-        if args.metric == "discrete" or x.space() == ("label",):
-            return Discrete()
+    if args.metric is None:
+        return Discrete() if x.space() == ("label",) else Euclidean()
+    if args.metric == "discrete":
+        return Discrete()
+    if args.metric == "euclidean":
         return Euclidean()
     raise TraceParseError(
         f"--metric {args.metric!r} needs --family (or use euclidean/discrete)"
@@ -197,7 +202,7 @@ def main(argv=None) -> int:
     except TraceParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except NonFiniteDistance as exc:
+    except (NonFiniteDistance, RecursionError) as exc:
         sys.stderr.write(f"input rejected: {exc}\n")
         return EXIT_PARSE
     except ValueSpaceMismatch as exc:

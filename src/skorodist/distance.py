@@ -33,11 +33,11 @@ the piece distances of the band at the bracket's top.  Each probe
 decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
 A row's value check is the bitset of the y-pieces within eps of its x-piece.
-Under a metric with ball masks (``Pseudometric.balls``: ``Coordinate``,
+Under a metric with ball masks (``Pseudometric._balls``: ``Coordinate``,
 one-dimensional ``Euclidean``, and ``MaxOf`` of these) it is one
 ``mask(i, eps)``, from bisects on y-values sorted once per solve, and no piece
 distance is evaluated.  Otherwise, and for the thresholds of the search, the
-piece distances come from one ``Pseudometric.table`` of the solve: when a
+piece distances come from one ``Pseudometric._table`` of the solve: when a
 probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, with no Python call per pair under
 ``Coordinate``, ``Euclidean`` and ``MaxOf``.  A plain callable metric is
@@ -236,11 +236,11 @@ class _BandedDP:
 
     Each probe computes the reachable states of the band at its eps, one
     bitset per row.  A row's value check is one ``mask(i, eps)`` of
-    ``Pseudometric.balls``, ANDed with the band, when d has masks.
+    ``Pseudometric._balls``, ANDed with the band, when d has masks.
     Otherwise, and for ``thresholds`` and ``largest_distance``, the piece
     distances are evaluated lazily, once per solve, for the states that some
     probe's band reaches: each row of them grows at either end through one
-    ``Pseudometric.table`` of the solve (a pairwise loop for a plain
+    ``Pseudometric._table`` of the solve (a pairwise loop for a plain
     callable d).  Construction checks that x and y share a value space, for
     every entry point that builds one, and builds the table and the masks
     from that space without scanning the values: ``make_step`` has checked

@@ -96,6 +96,31 @@ class AffineMap:
         )
 
 
+def _config_int(value, what):
+    """A JSON integer of a config; a bool, float or string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _config_number(value, what):
+    """A JSON number of a config, as a float; a bool or string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _config_array(value, what, item):
+    """A JSON array of a config, each element read by item."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array, got {value!r}")
+    return tuple(item(v, what) for v in value)
+
+
+def _config_numbers(value, what):
+    return _config_array(value, what, _config_number)
+
+
 def map_from_config(obj: dict):
     """Build a registered value map from its JSON form."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -104,13 +129,16 @@ def map_from_config(obj: dict):
     if kind == "identity":
         return Identity()
     if kind == "project":
-        return Project(tuple(obj["coords"]))
+        return Project(_config_array(obj["coords"], "project coords", _config_int))
     if kind == "square":
         return SquareCoords()
     if kind == "clamp":
-        return Clamp(float(obj["lo"]), float(obj["hi"]))
+        return Clamp(
+            _config_number(obj["lo"], "clamp lo"), _config_number(obj["hi"], "clamp hi")
+        )
     if kind == "affine":
         return AffineMap(
-            tuple(tuple(row) for row in obj["matrix"]), tuple(obj["offset"])
+            _config_array(obj["matrix"], "affine matrix", _config_numbers),
+            _config_numbers(obj["offset"], "affine offset"),
         )
     raise ValueError(f"unknown value-map kind {kind!r}")

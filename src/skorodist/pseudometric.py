@@ -24,57 +24,35 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 
 from .cadlag import Value, ValueSpaceMismatch
-from .maps import map_from_config
+from .maps import _config_int, _config_number, map_from_config
 
 
 class Pseudometric:
     """Base class; concrete kinds are frozen dataclasses implementing __call__.
 
-    Two batch methods serve a distance solve, which builds each of them once.
-    Their results are bit-identical to ``__call__``.
-
-    ``table(xs, ys)`` returns ``rows`` with
-    ``rows(i, lo, hi) == [self(xs[i], y) for y in ys[lo:hi]]``.  By default
-    that is one call per pair.  ``Coordinate``, ``Euclidean`` and ``MaxOf``
-    check the value space of all of ``xs`` and ``ys`` once (a ``MaxOf`` once
-    for all its parts) and compute the values without a Python call per
-    pair.  Where the check fails they fall back to the pairwise loop, so a
-    bad value raises the error of the first bad pair that a row reaches.
-
-    ``balls(xs, ys)`` returns ``mask`` with ``mask(i, eps)`` the int bitset
-    of the j with ``self(xs[i], ys[j]) <= eps``, or None when the metric has
-    no such structure, as by default.  ``Coordinate``, one-dimensional
-    ``Euclidean`` and ``MaxOf`` of these get masks from ys sorted by value,
-    one sort per coordinate.  Where some pair would fail, or a coordinate is
-    not a finite float, ``balls`` returns None and a solve uses the table,
-    which raises as before.
-
-    A solve reads the values of two step functions of one value space, which
-    ``make_step`` has checked: all vectors of finite floats of one dimension,
-    or all labels.  It calls ``_table`` and ``_balls`` with that dimension
-    (None for labels), which skip the scans of ``table`` and ``balls``.
+    A distance solve evaluates the metric through ``_table`` and ``_balls``.
+    Their ``xs`` and ``ys`` are the values of two ``make_step`` functions of
+    one value space, and ``dim`` is that space's dimension, or None for
+    labels.  Their results are bit-identical to ``__call__``.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
         raise NotImplementedError
 
-    def table(self, xs, ys):
+    def _table(self, xs, ys, dim):
+        """``rows`` with ``rows(i, lo, hi) == [self(xs[i], y) for y in
+        ys[lo:hi]]``; by default one call per pair."""
         return _pairwise_table(self, xs, ys)
 
-    def balls(self, xs, ys):
-        return None
-
-    def _table(self, xs, ys, dim):
-        """``table``, given dim = _common_dim(xs, ys)."""
-        return self.table(xs, ys)
-
     def _balls(self, xs, ys, dim):
-        """``balls``, given that xs and ys are all vectors of finite floats
-        of dimension dim, or dim is None."""
-        return self.balls(xs, ys)
+        """``mask`` with ``mask(i, eps)`` the int bitset of the j with
+        ``self(xs[i], ys[j]) <= eps``, or None when the metric has no such
+        structure on this space."""
+        ks = self._coords(dim)
+        return None if ks is None else _sorted_balls(xs, ys, ks)
 
     def _coords(self, dim):
         """The 0-based k with self(a, b) = max_k |a[k] - b[k]| on vectors of
@@ -82,28 +60,8 @@ class Pseudometric:
         return None
 
 
-class _Dimensioned(Pseudometric):
-    """A kind whose batch methods read the common dimension of xs and ys,
-    found once per ``table`` or ``balls``; its masks are those of the
-    coordinates that ``_coords`` names."""
-
-    def table(self, xs, ys):
-        return self._table(xs, ys, _common_dim(xs, ys))
-
-    def balls(self, xs, ys):
-        try:
-            dim = len(xs[0])
-        except (IndexError, TypeError):
-            return None
-        return self._balls(xs, ys, dim) if _float_vectors(xs, ys, dim) else None
-
-    def _balls(self, xs, ys, dim):
-        ks = self._coords(dim)
-        return None if ks is None else _sorted_balls(xs, ys, ks)
-
-
 def _pairwise_table(d, xs, ys):
-    """``table`` of any callable d: one call of d per pair."""
+    """``_table`` of any callable d: one call of d per pair."""
 
     def rows(i, lo, hi):
         a = xs[i]
@@ -112,24 +70,9 @@ def _pairwise_table(d, xs, ys):
     return rows
 
 
-def _float_vectors(xs, ys, dim):
-    """Whether all of xs and ys are dim-vectors of finite floats: the values
-    on which ``_sorted_balls`` is exact."""
-    try:
-        dims = {*map(len, xs), *map(len, ys)}
-        flat = [*chain.from_iterable(xs), *chain.from_iterable(ys)]
-    except TypeError:
-        return False
-    return (
-        dims == {dim}
-        and set(map(type, flat)) == {float}
-        and all(map(math.isfinite, flat))
-    )
-
-
 def _sorted_balls(xs, ys, ks):
-    """``balls`` of the maximum over k in ks of abs(a[k] - b[k]), for
-    vectors of finite floats (``_float_vectors``).
+    """``_balls`` of the maximum over k in ks of abs(a[k] - b[k]), for
+    vectors of finite floats.
 
     Rounding is monotone, so fl(|a_k - v|) is monotone in v on each side of
     a_k, and the j with |a_k - ys[j][k]| <= eps are one run of ys sorted by
@@ -180,24 +123,8 @@ def _vector_pair(a: Value, b: Value):
     return a, b
 
 
-def _common_dim(xs, ys):
-    """The one dimension of all the vectors in xs and ys, or None when they
-    have none: then ``_vector_pair`` may fail on some pair, and the pairwise
-    loop says which."""
-    try:
-        dims = {*map(len, xs), *map(len, ys)}
-    except TypeError:
-        return None
-    if len(dims) != 1:
-        return None
-    for t in {*map(type, xs), *map(type, ys)}:
-        if issubclass(t, str):
-            return None
-    return dims.pop()
-
-
 @dataclass(frozen=True)
-class Coordinate(_Dimensioned):
+class Coordinate(Pseudometric):
     """|a_k - b_k| for a fixed 1-based coordinate k."""
 
     k: int
@@ -230,7 +157,7 @@ class Coordinate(_Dimensioned):
 
 
 @dataclass(frozen=True)
-class Euclidean(_Dimensioned):
+class Euclidean(Pseudometric):
     def __call__(self, a, b):
         a, b = _vector_pair(a, b)
         return math.dist(a, b)
@@ -285,7 +212,7 @@ class PulledBack(Pseudometric):
 
 
 @dataclass(frozen=True)
-class MaxOf(_Dimensioned):
+class MaxOf(Pseudometric):
     parts: tuple[Pseudometric, ...]
 
     def __post_init__(self):
@@ -329,13 +256,13 @@ def metric_from_config(obj: dict) -> Pseudometric:
         raise ValueError(f"bad pseudometric config: {obj!r}")
     kind = obj["kind"]
     if kind == "coordinate":
-        return Coordinate(int(obj["k"]))
+        return Coordinate(_config_int(obj["k"], "coordinate k"))
     if kind == "euclidean":
         return Euclidean()
     if kind == "discrete":
         return Discrete()
     if kind == "scaled":
-        factor = float(obj["factor"]) + 0.0  # -0.0 to 0.0
+        factor = _config_number(obj["factor"], "scaled factor") + 0.0  # -0.0 to 0.0
         if not 0.0 <= factor < math.inf:
             raise ValueError(f"scaled factor must be finite and >= 0, got {factor}")
         return Scaled(factor, metric_from_config(obj["inner"]))

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import skorodist
+from skorodist import cli
 from skorodist.cli import main
+from skorodist.pseudometric import Euclidean, Scaled
 
 IND_05 = {"times": [0, 0.5], "values": [[0], [1]]}
 IND_06 = {"times": [0, 0.6], "values": [[0], [1]]}
@@ -91,6 +93,24 @@ def test_distance_labels_default_discrete(tmp_path, capsys):
     y.write_text(json.dumps({"times": [0, 0.5], "values": ["idle", "busy"]}))
     assert main(["distance", str(x), str(y)]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 1.0
+
+
+def test_explicit_euclidean_on_labels_is_a_space_mismatch(tmp_path, capsys):
+    x = tmp_path / "x.json"
+    y = tmp_path / "y.json"
+    res = tmp_path / "res.json"
+    x.write_text(json.dumps({"times": [0], "values": ["idle"]}))
+    y.write_text(json.dumps({"times": [0, 0.5], "values": ["idle", "busy"]}))
+    assert main(["distance", str(x), str(y), "--out", str(res)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["distance", str(x), str(y), "--metric", "euclidean"],
+        ["certificate-check", str(x), str(y), str(res), "--metric", "euclidean"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "value-space mismatch: vector pseudometric applied to a label value\n"
 
 
 def test_certificate_round_trip(traces, tmp_path):
@@ -201,10 +221,33 @@ def test_trace_rejects_numbers_out_of_float_range(trace, tmp_path, capsys):
             {"kind": "scaled", "factor": f, "inner": {"kind": "euclidean"}}
             for f in (-1, -1e-300, math.nan, math.inf)
         ),
+        # numbers of the wrong JSON type are not coerced
+        *({"kind": "coordinate", "k": k} for k in (1.7, 1.0, True, "2")),
+        *(
+            {"kind": "scaled", "factor": f, "inner": {"kind": "euclidean"}}
+            for f in ("2", True)
+        ),
+        *(
+            {"kind": "pulled_back", "map": m, "inner": {"kind": "euclidean"}}
+            for m in (
+                {"kind": "project", "coords": [1.5]},
+                {"kind": "project", "coords": [True]},
+                {"kind": "project", "coords": "1"},
+                {"kind": "clamp", "lo": "0", "hi": 1},
+                {"kind": "clamp", "lo": 0, "hi": True},
+                {"kind": "affine", "matrix": [["1"]], "offset": [0]},
+                {"kind": "affine", "matrix": [[1]], "offset": [False]},
+                {"kind": "affine", "matrix": ["1"], "offset": [0]},
+            )
+        ),
     ],
     ids=["scaled-no-factor", "coordinate-no-k", "max-of-int-parts", "scaled-list-factor",
          "project-no-coords", "scaled-negative", "scaled-tiny-negative", "scaled-nan",
-         "scaled-inf"],
+         "scaled-inf", "coordinate-float-k", "coordinate-integral-float-k",
+         "coordinate-bool-k", "coordinate-string-k", "scaled-string-factor",
+         "scaled-bool-factor", "project-float-coord", "project-bool-coord",
+         "project-string-coords", "clamp-string-bound", "clamp-bool-bound",
+         "affine-string-entry", "affine-bool-offset", "affine-string-row"],
 )
 def test_distance_rejects_malformed_family_config(generator, traces, tmp_path, capsys):
     fam = tmp_path / "family.json"
@@ -235,6 +278,44 @@ def test_distance_rejects_an_overflowing_metric(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input rejected: value metric gave a non-finite distance (inf)\n"
+
+
+def _nested(depth, inner):
+    return "[" * depth + inner + "]" * depth
+
+
+@pytest.mark.parametrize("file", ["trace", "family"])
+def test_distance_rejects_input_nested_past_the_recursion_limit(file, traces, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    if file == "trace":
+        deep.write_text(f'{{"times": [0], "values": {_nested(100_000, "0")}}}')
+        argv = ["distance", str(deep), traces["y"]]
+    else:
+        deep.write_text(f'{{"generators": {_nested(100_000, "")}}}')
+        argv = ["distance", traces["x"], traces["y"], "--family", str(deep)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input rejected: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
+def test_distance_rejects_a_metric_nested_past_the_recursion_limit(
+    traces, tmp_path, capsys, monkeypatch
+):
+    # A family config of about 600 nested "scaled" generators parses and then
+    # overflows the stack in Scaled.__call__ on Python 3.10-3.12; on 3.13 only
+    # a few depths between the two limits do.  A metric built in Python
+    # overflows the solve on every interpreter.
+    metric = Euclidean()
+    for _ in range(sys.getrecursionlimit()):
+        metric = Scaled(1.0, metric)
+    monkeypatch.setattr(cli, "_resolve_metric", lambda args, x, y: metric)
+    assert main(["distance", traces["x"], traces["y"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input rejected: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
 
 
 def test_suite_oracle_passes(capsys):

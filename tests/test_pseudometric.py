@@ -1,8 +1,9 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skorodist.cadlag import ValueSpaceMismatch
@@ -182,16 +183,36 @@ def test_invalid_index():
 DIM = 2
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _vector = st.tuples(*[_coord] * DIM)
-# Under SquareCoords and Identity every metric keeps the value space: labels
-# and vectors of another dimension fail under it as under its leaves.
-# Project((1,)) lets a pulled-back part accept vectors of any dimension.
+# Under SquareCoords and Identity every metric keeps the value space, and on
+# 2-D vectors the metrics of _metrics(_KEEP_SPACE) never fail.
 _KEEP_SPACE = [SquareCoords(), Identity()]
 
 
-def _metrics(value_maps):
+@dataclass(frozen=True)
+class _FailsBelowZero:
+    """A user value map that fails on some vectors of a space only: those
+    whose coordinate k (1-based) is negative.  Other values pass through."""
+
+    k: int
+
+    def __call__(self, v):
+        if not isinstance(v, str) and len(v) >= self.k and v[self.k - 1] < 0.0:
+            raise ValueSpaceMismatch(f"negative coordinate {self.k}: {v[self.k - 1]}")
+        return v
+
+
+# Metrics that need not fit the space of the values: a coordinate past its
+# dimension, a vector metric on labels, a projection past the dimension, or a
+# user map that fails on some values.
+_ANY_MAPS = [
+    *_KEEP_SPACE, Project((1,)), Project((3,)), _FailsBelowZero(1), _FailsBelowZero(2)
+]
+
+
+def _metrics(value_maps, dim=DIM):
     return st.recursive(
         st.one_of(
-            st.builds(Coordinate, st.integers(1, DIM)),
+            st.builds(Coordinate, st.integers(1, dim)),
             st.just(Euclidean()),
             st.just(Discrete()),
         ),
@@ -204,13 +225,22 @@ def _metrics(value_maps):
     )
 
 
-_BAD = st.sampled_from(["idle", "ab", (0.5,), (0.5, 0.5, 0.5)])
+_any_metric = _metrics(_ANY_MAPS, dim=3)
+# The values of one make_step space: 1-, 2- or 3-D vectors, or labels
+_SPACES = [st.tuples(*[_coord] * dim) for dim in (1, 2, 3)] + [
+    st.sampled_from(["idle", "busy", "ab"])
+]
 _ROW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+def _dim(value):
+    """The dim a solve passes to ``_table`` and ``_balls`` for this value."""
+    return None if isinstance(value, str) else len(value)
+
+
 def _row(d, a, bs):
-    """d at (a, b) for every b in bs, as one row of ``d.table``."""
-    return d.table((a,), bs)(0, 0, len(bs))
+    """d at (a, b) for every b in bs, as one row of ``d._table``."""
+    return d._table((a,), bs, _dim(a))(0, 0, len(bs))
 
 
 def _bits(values):
@@ -231,33 +261,41 @@ def test_row_is_bit_identical_to_pairwise_calls(d, a, bs):
     assert _row(d, a, []) == []
 
 
+# Parts that fail on some 2-D vectors, on all of them, or on none
+_PARTS = [
+    PulledBack(_FailsBelowZero(1), Euclidean()),
+    PulledBack(_FailsBelowZero(2), Coordinate(1)),
+    Coordinate(3),
+    PulledBack(Project((3,)), Euclidean()),
+    Coordinate(1),
+    Euclidean(),
+]
+
+
 @_ROW_SETTINGS
 @given(
-    d=_metrics(_KEEP_SPACE),
+    parts=st.lists(st.sampled_from(_PARTS), min_size=1, max_size=3),
     a=_vector,
-    bs=st.lists(_vector, max_size=20),
-    at=st.integers(0, 20),
-    bad=_BAD,
+    bs=st.lists(_vector, min_size=1, max_size=20),
 )
-def test_row_raises_what_the_first_bad_pair_raises(d, a, bs, at, bad):
-    bs.insert(min(at, len(bs)), bad)
-    with pytest.raises(ValueSpaceMismatch) as pairwise:
+def test_row_raises_what_the_first_bad_pair_raises(parts, a, bs):
+    d = MaxOf(tuple(parts))
+    try:
         [d(a, b) for b in bs]
+    except ValueSpaceMismatch as exc:
+        pairwise = exc
+    else:
+        assume(False)
     with pytest.raises(ValueSpaceMismatch) as batched:
         _row(d, a, bs)
-    assert str(batched.value) == str(pairwise.value)
+    assert str(batched.value) == str(pairwise)
 
 
 @_ROW_SETTINGS
-@given(
-    d=_metrics([*_KEEP_SPACE, Project((1,))]),
-    a=_vector,
-    bs=st.lists(_vector, max_size=10),
-    bad=st.lists(st.tuples(st.integers(0, 10), _BAD), min_size=1, max_size=3),
-)
-def test_row_fails_where_and_as_pairwise_calls_fail(d, a, bs, bad):
-    for at, value in bad:
-        bs.insert(min(at, len(bs)), value)
+@given(d=_any_metric, space=st.sampled_from(_SPACES), data=st.data())
+def test_row_fails_where_and_as_pairwise_calls_fail(d, space, data):
+    a = data.draw(space)
+    bs = data.draw(st.lists(space, max_size=10))
     assert _outcome(lambda: _row(d, a, bs)) == _outcome(lambda: [d(a, b) for b in bs])
 
 
@@ -266,19 +304,20 @@ def test_row_edge_cases():
     with pytest.raises(ValueSpaceMismatch, match="coordinate 3"):
         _row(Coordinate(3), (0.0, 1.0), [(1.0, 1.0)])
     with pytest.raises(ValueSpaceMismatch, match="label"):
-        _row(Euclidean(), "idle", [(0.0,)])
+        _row(Euclidean(), "idle", ["busy"])
     # no pair, no check: as the pairwise loop
     assert _row(Coordinate(3), (0.0, 1.0), []) == []
     assert _row(Euclidean(), "idle", []) == []
     assert _row(MaxOf((Coordinate(1),)), (0.0, 1.0), [(2.0, 5.0)]) == [2.0]
     assert _row(Discrete(), "idle", ["idle", "busy"]) == [0.0, 1.0]
-    with pytest.raises(ValueSpaceMismatch, match="label value compared"):
-        _row(Discrete(), "idle", ["busy", (0.0,)])
-    # The first part accepts the 3-vector and fails on the label; the pairwise
-    # loop reaches the 3-vector under the second part first.
-    mixed = MaxOf((PulledBack(Project((1,)), Euclidean()), Euclidean()))
-    with pytest.raises(ValueSpaceMismatch, match="dimension mismatch: 2 vs 3"):
-        _row(mixed, (0.0, 0.0), [(1.0, 1.0, 1.0), "idle"])
+    # The first part fails on the second pair only; the pairwise loop reaches
+    # the first pair under the second part first.
+    mixed = MaxOf((
+        PulledBack(_FailsBelowZero(1), Euclidean()),
+        PulledBack(_FailsBelowZero(2), Euclidean()),
+    ))
+    with pytest.raises(ValueSpaceMismatch, match="negative coordinate 2: -1.0"):
+        _row(mixed, (1.0, 1.0), [(1.0, -1.0), (-2.0, 1.0)])
 
 
 # --- many-to-many evaluation -------------------------------------------------
@@ -292,7 +331,7 @@ def _plain(a, b):
 def _table(d, xs, ys):
     """The rows a distance solve evaluates d with."""
     if isinstance(d, Pseudometric):
-        return d.table(xs, ys)
+        return d._table(xs, ys, _dim(xs[0]))
     return _pairwise_table(d, xs, ys)
 
 
@@ -321,18 +360,13 @@ def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
 
 @_ROW_SETTINGS
 @given(
-    d=st.one_of(_metrics([*_KEEP_SPACE, Project((1,))]), st.just(_plain)),
-    xs=st.lists(_vector, min_size=1, max_size=6),
-    ys=st.lists(_vector, max_size=10),
-    bad=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 10), _BAD), min_size=1, max_size=3
-    ),
+    d=st.one_of(_any_metric, st.just(_plain)),
+    space=st.sampled_from(_SPACES),
     data=st.data(),
 )
-def test_table_fails_where_and_as_pairwise_calls_fail(d, xs, ys, bad, data):
-    for in_xs, at, value in bad:
-        values = xs if in_xs else ys
-        values.insert(min(at, len(values)), value)
+def test_table_fails_where_and_as_pairwise_calls_fail(d, space, data):
+    xs = data.draw(st.lists(space, min_size=1, max_size=6))
+    ys = data.draw(st.lists(space, max_size=10))
     rows = _table(d, xs, ys)
     for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
         want = _outcome(lambda: [d(xs[i], y) for y in ys[lo:hi]])
@@ -341,17 +375,19 @@ def test_table_fails_where_and_as_pairwise_calls_fail(d, xs, ys, bad, data):
 
 def test_table_edge_cases():
     # no pair in a window, no check: as the pairwise loop
-    assert Euclidean().table(["idle"], [(0.0,)])(0, 1, 1) == []
-    assert Coordinate(3).table([(0.0, 1.0)], [])(0, 0, 0) == []
-    rows = MaxOf((Coordinate(1), Coordinate(2))).table(
-        [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)]
+    assert Euclidean()._table(["idle"], ["busy"], None)(0, 1, 1) == []
+    assert Coordinate(3)._table([(0.0, 1.0)], [], 2)(0, 0, 0) == []
+    rows = MaxOf((Coordinate(1), Coordinate(2)))._table(
+        [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)], 2
     )
     assert rows(0, 0, 3) == [5.0, 1.0, 0.5]
     assert rows(1, 1, 3) == [2.0, 2.5]
-    # a label among the xs fails only in its own row
-    rows = Euclidean().table([(0.0,), "idle"], [(3.0,), (4.0,)])
+    # a value that a user map rejects fails only in its own row
+    rows = MaxOf((Coordinate(1), PulledBack(_FailsBelowZero(1), Euclidean())))._table(
+        [(0.0,), (-1.0,)], [(3.0,), (4.0,)], 1
+    )
     assert rows(0, 0, 2) == [3.0, 4.0]
-    with pytest.raises(ValueSpaceMismatch, match="label"):
+    with pytest.raises(ValueSpaceMismatch, match="negative"):
         rows(1, 1, 2)
 
 
@@ -378,7 +414,7 @@ def _direct_mask(d, a, ys, eps):
 
 
 def _check_masks(d, xs, ys, extra_eps):
-    mask = d.balls(xs, ys)
+    mask = d._balls(xs, ys, _dim(xs[0]))
     assert mask is not None
     for i, a in enumerate(xs):
         eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, *extra_eps}
@@ -414,24 +450,26 @@ def test_ball_masks_on_scalars(d, xs, ys, eps):
 @pytest.mark.parametrize(
     "d, xs, ys",
     [
-        # a label among the xs
-        (Coordinate(1), [(0.0,), "idle"], [(1.0,)]),
-        (Euclidean(), [(0.0,), "idle"], [(1.0,)]),
-        (MaxOf((Coordinate(1), Euclidean())), [(0.0,), "idle"], [(1.0,)]),
-        # mixed dimensions
-        (Coordinate(1), [(0.0,)], [(1.0,), (1.0, 2.0)]),
-        (Euclidean(), [(0.0,)], [(1.0,), (1.0, 2.0)]),
-        (MaxOf((Coordinate(1),)), [(0.0, 1.0)], [(1.0,)]),
+        # vector metrics on labels
+        (Coordinate(1), ["idle", "busy"], ["idle"]),
+        (Euclidean(), ["idle", "busy"], ["idle"]),
+        (MaxOf((Coordinate(1), Euclidean())), ["idle"], ["busy", "idle"]),
+        # a projection past the dimension
+        (PulledBack(Project((3,)), Coordinate(1)), [(0.0,)], [(1.0,), (2.0,)]),
+        (PulledBack(Project((3,)), Euclidean()), [(0.0, 1.0)], [(1.0, 2.0)]),
+        (MaxOf((Coordinate(1), PulledBack(Project((3,)), Euclidean()))), [(0.0, 1.0)], [(1.0, 1.0)]),
         # a coordinate past the dimension
         (Coordinate(3), [(0.0, 1.0)], [(1.0, 1.0)]),
         (MaxOf((Coordinate(1), Coordinate(3))), [(0.0, 1.0)], [(1.0, 1.0)]),
     ],
 )
 def test_bad_values_give_no_masks_and_the_table_raises(d, xs, ys):
-    assert d.balls(xs, ys) is None
-    rows = d.table(xs, ys)
+    dim = _dim(xs[0])
+    assert d._balls(xs, ys, dim) is None
+    rows = d._table(xs, ys, dim)
     for i, a in enumerate(xs):
         want = _outcome(lambda: [d(a, b) for b in ys])
+        assert want.startswith("raises ")
         assert _outcome(lambda: rows(i, 0, len(ys))) == want
 
 
@@ -444,9 +482,5 @@ def test_kinds_without_masks():
         (Scaled(2.0, Coordinate(1)), scalars),
         (PulledBack(Identity(), Coordinate(1)), scalars),
         (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), vectors),
-        # values that are not finite floats
-        (Coordinate(1), ([(math.nan,)], [(1.0,)])),
-        (Coordinate(1), ([(0.0,)], [(math.inf,)])),
-        (Coordinate(1), ([(0,)], [(1.0,)])),
     ):
-        assert d.balls(xs, ys) is None, d
+        assert d._balls(xs, ys, _dim(xs[0])) is None, d
