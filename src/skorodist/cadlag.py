@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -150,16 +151,17 @@ class StepFunction:
         Idempotent, preserves evaluation everywhere up to ``==``, and yields
         the minimal representation of the same function.  Equality is ``==``
         per coordinate, so pieces of 0.0 and -0.0 merge; no approximate
-        merging happens here.
+        merging happens here.  Returns ``self`` when no two adjacent pieces
+        are equal.
         """
+        if not any(map(operator.eq, self.values, self.values[1:])):
+            return self
         ts = [self.times[0]]
         vs = [self.values[0]]
         for t, v in zip(self.times[1:], self.values[1:]):
             if v != vs[-1]:
                 ts.append(t)
                 vs.append(v)
-        if len(ts) == len(self.times):
-            return self
         return StepFunction(tuple(ts), tuple(vs))
 
     def interior_jumps(self) -> tuple[float, ...]:
@@ -238,17 +240,25 @@ def step_from_json_obj(obj) -> StepFunction:
 
 
 def step_from_json(text: str) -> StepFunction:
-    """Parse the JSON form ``{"times": [...], "values": [...]}``.
-
-    Values must be arrays (vectors) or strings (labels); NaN/Infinity tokens
-    are rejected.
+    """Parse the JSON form ``{"times": [...], "values": [...]}``, read by
+    :func:`strict_json`.  Values must be arrays (vectors) or strings (labels).
     """
+    return step_from_json_obj(strict_json(text, TraceParseError))
 
-    def _reject(token):
-        raise TraceParseError(f"non-finite token {token!r} in input")
+
+def strict_json(text: str, error: type[Exception]):
+    """Decode JSON text, raising ``error`` on malformed JSON, on NaN and
+    Infinity tokens, and on float literals beyond the float range, such as
+    1e400.  An integer literal beyond the float range still decodes."""
+
+    def reject(token):
+        raise error(f"non-finite token {token!r} in input")
+
+    def finite(token):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
 
     try:
-        obj = json.loads(text, parse_constant=_reject)
+        return json.loads(text, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON: {exc}") from exc
-    return step_from_json_obj(obj)
+        raise error(f"invalid JSON: {exc}") from exc

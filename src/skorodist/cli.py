@@ -6,10 +6,11 @@ without trusting the distance computation), ``suite`` (named verification
 suites), and ``example-k`` (the K-topology demonstration report).
 
 All I/O is JSON; output is byte-identical for identical inputs and seed.
-Exit codes: 0 success, 1 check/suite failure, 2 parse error or rejected input
-(a non-finite distance, or a trace, family config or metric nested deeper
-than the interpreter's recursion limit), 3 value-space mismatch, 4 invalid
-certificate.
+Exit codes: 0 success, 1 check/suite failure, 2 parse error (NaN, Infinity
+and numbers beyond the float range included) or rejected input (a non-finite
+distance, or a trace, family config or metric nested deeper than the
+interpreter's recursion limit), 3 value-space mismatch, 4 invalid
+certificate (NaN, Infinity and out-of-range numbers in it included).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cadlag import TraceParseError, ValueSpaceMismatch, step_from_json
+from .cadlag import TraceParseError, ValueSpaceMismatch, step_from_json, strict_json
 from .distance import (
     CertificateError,
     NonFiniteDistance,
@@ -46,9 +47,9 @@ def _emit(obj, out_path):
         sys.stdout.write(text)
 
 
-def _load_trace(path):
+def _read(path):
     try:
-        return step_from_json(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise TraceParseError(f"{path}: {exc}") from exc
 
@@ -59,9 +60,8 @@ def _resolve_metric(args, x, y):
     discrete for labels."""
     if args.family:
         try:
-            config = json.loads(Path(args.family).read_text(encoding="utf-8"))
-            family = family_from_config(config)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            family = family_from_config(strict_json(_read(args.family), ValueError))
+        except ValueError as exc:
             raise TraceParseError(f"bad family config: {exc}") from exc
         if args.metric:
             try:
@@ -81,28 +81,25 @@ def _resolve_metric(args, x, y):
     )
 
 
-def cmd_distance(args) -> int:
-    x = _load_trace(args.x)
-    y = _load_trace(args.y)
+def _load_inputs(args):
+    """The traces x and y, checked to share a value space, and the metric."""
+    x = step_from_json(_read(args.x))
+    y = step_from_json(_read(args.y))
     if x.space() != y.space():
         raise ValueSpaceMismatch(f"{x.space()} vs {y.space()}")
-    metric = _resolve_metric(args, x, y)
+    return x, y, _resolve_metric(args, x, y)
+
+
+def cmd_distance(args) -> int:
+    x, y, metric = _load_inputs(args)
     result = skorohod_distance(x, y, metric)
     _emit(result.to_json_obj(), args.out)
     return EXIT_OK
 
 
 def cmd_certificate_check(args) -> int:
-    x = _load_trace(args.x)
-    y = _load_trace(args.y)
-    if x.space() != y.space():
-        raise ValueSpaceMismatch(f"{x.space()} vs {y.space()}")
-    metric = _resolve_metric(args, x, y)
-    try:
-        text = Path(args.certificate).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TraceParseError(f"{args.certificate}: {exc}") from exc
-    claimed, cert = result_from_json(text)
+    x, y, metric = _load_inputs(args)
+    claimed, cert = result_from_json(_read(args.certificate))
     ok, bound = check_certificate(x, y, metric, claimed, cert)
     _emit({"pass": ok, "claimed": claimed, "recomputed_bound": bound}, args.out)
     return EXIT_OK if ok else EXIT_FAIL
@@ -158,26 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dist = sub.add_parser("distance", help="distance between two trace files")
-    p_dist.add_argument("x")
-    p_dist.add_argument("y")
-    p_dist.add_argument("--family", help="pseudometric family config file")
-    p_dist.add_argument(
+    # the arguments that distance and certificate-check share
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("x")
+    pair.add_argument("y")
+    pair.add_argument("--family", help="pseudometric family config file")
+    pair.add_argument(
         "--metric",
         help="family index like '1,2', or 'euclidean'/'discrete' without --family",
     )
-    p_dist.add_argument("--out", help="write JSON here instead of stdout")
+    pair.add_argument("--out", help="write JSON here instead of stdout")
+
+    p_dist = sub.add_parser("distance", parents=[pair], help="distance between two traces")
     p_dist.set_defaults(func=cmd_distance)
 
     p_cert = sub.add_parser(
-        "certificate-check", help="recompute and audit a certified distance"
+        "certificate-check", parents=[pair], help="recompute and audit a certified distance"
     )
-    p_cert.add_argument("x")
-    p_cert.add_argument("y")
     p_cert.add_argument("certificate", help="JSON with 'distance' and 'certificate'")
-    p_cert.add_argument("--family")
-    p_cert.add_argument("--metric")
-    p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certificate_check)
 
     p_suite = sub.add_parser("suite", help="run verification suites")

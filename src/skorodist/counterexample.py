@@ -27,7 +27,7 @@ line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import cadlag
@@ -234,20 +234,7 @@ class DiscontinuityReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "pass": self.passed,
-            "truncation": self.truncation,
-            "piece_horizon": self.piece_horizon,
-            "grid": self.grid,
-            "cadlag_tau0": self.cadlag_tau0,
-            "f_avoids_k": self.f_avoids_k,
-            "right_continuous_at_zero": self.right_continuous_at_zero,
-            "left_limits_on_k": self.left_limits_on_k,
-            "discontinuity_witnessed": self.discontinuity_witnessed,
-            "tail_diverges_tauk": self.tail_diverges_tauk,
-            "tail_converges_tau0": self.tail_converges_tau0,
-            "witness": self.witness,
-        }
+        return {"pass": self.passed, **asdict(self)}
 
 
 def _check_cadlag_tau0(truncation: int) -> bool:

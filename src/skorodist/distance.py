@@ -58,14 +58,13 @@ suprema are reported alongside the distance.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
 
-from .cadlag import StepFunction, compose_time_change, require_same_space
+from .cadlag import StepFunction, compose_time_change, require_same_space, strict_json
 from .pseudometric import Pseudometric, _pairwise_table
 
 CERT_TOL = 1e-9
@@ -143,11 +142,7 @@ class TimeChange:
         knots = obj["knots"]
         if not isinstance(knots, list):
             raise CertificateError('"knots" must be an array of [t, lam_t] pairs')
-        try:
-            pairs = tuple((float(t), float(lt)) for t, lt in knots)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CertificateError(f"bad knot entry: {exc}") from exc
-        return cls(pairs)
+        return cls(knots)
 
 
 @dataclass(frozen=True)
@@ -338,10 +333,6 @@ class _BandedDP:
             above_hi = hi
         return (e, rows) if reach >> len(self.b) & 1 else None
 
-    def within(self, eps):
-        """Decide "Skorohod distance <= eps" with one probe, keeping no path."""
-        return self.probe(eps) is not None
-
     def events(self, probed):
         """Path events of a feasible probe in forward order:
         ["x"|"y"|"xy", time, warped x-jump], with float times.  Rounding the
@@ -398,7 +389,9 @@ class _BandedDP:
         steps until a probe succeeds at some hi, then binary-search the
         ``thresholds`` in [L, hi], or in (last failure, hi] once a probe has
         failed: they hold every float in the bracket where feasibility can
-        switch, so the least feasible one is the distance.  A bracket of one
+        switch, so the least feasible one is the distance.  Feasibility is
+        constant from the last of them up to hi, so hi joins them when they
+        end below it, and the search starts from its probe.  A bracket of one
         float, such as L when its probe succeeds, is the distance itself.
         From eps = 1 on every window is open and only piece distances can
         bind, so the gallop jumps from there to the largest piece distance,
@@ -421,23 +414,17 @@ class _BandedDP:
 
         if lo == hi:
             return hi + 0.0, at_hi  # -0.0 to 0.0, as thresholds() would give
-
-        def probe(eps):
-            return at_hi if eps == hi else self.probe(eps)
-
         cands = self.thresholds(lo, hi)
-        k, top, found = 0, len(cands) - 1, None
+        if cands[-1] < hi:
+            cands.append(hi)
+        k, top, found = 0, len(cands) - 1, at_hi
         while k < top:
             mid = (k + top) // 2
-            probed = probe(cands[mid])
+            probed = self.probe(cands[mid])
             if probed is None:
                 k = mid + 1
             else:
                 top, found = mid, probed
-        if found is None:
-            found = probe(cands[top])
-            if found is None:
-                raise RuntimeError("internal: largest bracketed threshold infeasible")
         return cands[top], found
 
 
@@ -480,14 +467,15 @@ def _certificate(events) -> TimeChange:
 def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     """Decide "Skorohod distance <= eps" (closed relaxation), with witness.
 
-    Returns ``(True, lam)`` where ``lam`` is a strict time change realising
+    Returns ``(True, lam)`` where ``lam`` is a strict time change of the
+    normalized pair (``x.normalize()`` against ``y.normalize()``) realising
     time deviation <= eps + CERT_TOL and value supremum <= eps, or
     ``(False, None)``.  Feasibility is monotone in eps, and closed feasibility
     at eps equals strict feasibility at every eps' > eps, so the predicate is
     exactly "infimum <= eps", decided without tolerance: the distance is the
     least float eps at which it holds.
     """
-    dp = _BandedDP(x, y, d)  # checks the value space before eps
+    dp = _BandedDP(x.normalize(), y.normalize(), d)  # checks the space before eps
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     probed = dp.probe(eps)
@@ -504,7 +492,7 @@ def _within(x: StepFunction, y: StepFunction, eps: float, d) -> bool:
     ``distance > eps`` iff not ``_within`` at eps.  A NaN or infinite piece
     distance fails its value check here rather than raising.
     """
-    return _BandedDP(x, y, d).within(eps)
+    return _BandedDP(x, y, d).probe(eps) is not None
 
 
 def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
@@ -534,12 +522,18 @@ def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
 def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     """Exact Skorohod distance with a witnessing time change.
 
-    The value is the smallest feasible candidate threshold.  The search
-    brackets it from L = max(d(x(0), y(0)), d(x(1), y(1))) upward and
-    binary-searches only the candidates inside the bracket, each probe
-    filling the banded feasibility DP.  The certificate's recomputed time and
-    value suprema satisfy ``max(time_sup, value_sup) <= value + CERT_TOL``.
+    The solve runs on the normalized pair, ``x.normalize()`` against
+    ``y.normalize()``: merging equal adjacent pieces leaves each function,
+    and so the distance, unchanged, and a jump that changes no value then
+    needs no float knot of its own.  The value is the smallest feasible
+    candidate threshold.  The search brackets it from
+    L = max(d(x(0), y(0)), d(x(1), y(1))) upward and binary-searches only the
+    candidates inside the bracket, each probe filling the banded feasibility
+    DP.  The certificate is a time change of the normalized pair, and its
+    recomputed time and value suprema satisfy
+    ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
+    x, y = x.normalize(), y.normalize()
     dp = _BandedDP(x, y, d)
     value, probed = dp.least_feasible()
     cert = _certificate(dp.events(probed))
@@ -556,16 +550,16 @@ def bisect_distance(x: StepFunction, y: StepFunction, d) -> float:
     A cross-check for the candidate-set computation."""
     dp = _BandedDP(x, y, d)
     lo = 0.0
-    if dp.within(lo):
+    if dp.probe(lo) is not None:
         return 0.0
     # every window is open from eps = 1, so only a non-finite (inf or NaN)
     # piece distance keeps hi from being a finite feasible bracket top
     hi = max(1.0, dp.largest_distance())
-    if not (hi < math.inf and dp.within(hi)):
+    if not (hi < math.inf and dp.probe(hi) is not None):
         raise NonFiniteDistance("value metric gave a non-finite distance")
     # lo fails and hi holds; hi - lo cannot overflow, unlike lo + hi
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        if dp.within(mid):
+        if dp.probe(mid) is not None:
             hi = mid
         else:
             lo = mid
@@ -582,12 +576,14 @@ def check_certificate(
     """Recompute the certified bound max(warp deviation, value supremum).
 
     Returns ``(ok, bound)`` with ``ok`` true iff ``bound <= claimed + CERT_TOL``.
-    The value supremum is recomputed from scratch via composition with the
-    certificate, so this audits the certificate without trusting the distance
-    computation.  A certificate that merges two jump times of x is invalid.
+    The value supremum is recomputed from scratch via composition of
+    ``x.normalize()`` with the certificate, the x that ``skorohod_distance``
+    and ``feasible`` certify, so this audits the certificate without trusting
+    the distance computation.  A certificate that merges two jump times of
+    the normalized x is invalid.
     """
     try:
-        warped = compose_time_change(x, cert)
+        warped = compose_time_change(x.normalize(), cert)
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc
     bound = max(cert.warp_deviation(), uniform_distance(warped, y, d))
@@ -776,15 +772,9 @@ def oracle_distance(x: StepFunction, y: StepFunction, d) -> float:
 
 def result_from_json(text: str):
     """Parse a distance result document: {"distance": v, "certificate": {...}}.
-    NaN/Infinity tokens and numbers outside the float range are rejected."""
-
-    def _reject(token):
-        raise CertificateError(f"non-finite token {token!r} in input")
-
-    try:
-        obj = json.loads(text, parse_constant=_reject)
-    except json.JSONDecodeError as exc:
-        raise CertificateError(f"invalid JSON: {exc}") from exc
+    The text is read by ``strict_json``, so NaN/Infinity tokens and numbers
+    outside the float range are rejected, all as ``CertificateError``."""
+    obj = strict_json(text, CertificateError)
     if not isinstance(obj, dict) or "certificate" not in obj or "distance" not in obj:
         raise CertificateError('expected {"distance": ..., "certificate": ...}')
     claimed = obj["distance"]
@@ -792,8 +782,6 @@ def result_from_json(text: str):
         raise CertificateError(f"bad distance value {claimed!r}")
     try:
         claimed = float(claimed)
-    except OverflowError:  # an integer literal beyond the float range
-        claimed = math.inf
-    if not math.isfinite(claimed):  # or a float literal such as 1e400
-        raise CertificateError("distance out of float range")
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise CertificateError("distance out of float range") from exc
     return claimed, TimeChange.from_json_obj(obj["certificate"])

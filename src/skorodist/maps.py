@@ -14,6 +14,14 @@ from dataclasses import dataclass
 from .cadlag import Value, ValueSpaceMismatch
 
 
+def _check_index(k, what):
+    """A 1-based index is an int, not a bool, and at least 1."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"{what} must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"{what} is 1-based, got {k}")
+
+
 def _require_vector(v: Value) -> tuple[float, ...]:
     if isinstance(v, str):
         raise ValueSpaceMismatch("value map needs a vector value, got a label")
@@ -33,9 +41,11 @@ class Project:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(k) for k in self.coords))
-        if not self.coords or min(self.coords) < 1:
-            raise ValueError("coordinates are 1-based and at least one is required")
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if not self.coords:
+            raise ValueError("a projection needs at least one coordinate")
+        for k in self.coords:
+            _check_index(k, "projection coordinate")
 
     def __call__(self, v: Value) -> Value:
         vec = _require_vector(v)
@@ -96,13 +106,6 @@ class AffineMap:
         )
 
 
-def _config_int(value, what):
-    """A JSON integer of a config; a bool, float or string is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _config_number(value, what):
     """A JSON number of a config, as a float; a bool or string is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -129,7 +132,7 @@ def map_from_config(obj: dict):
     if kind == "identity":
         return Identity()
     if kind == "project":
-        return Project(_config_array(obj["coords"], "project coords", _config_int))
+        return Project(obj["coords"])  # rejects all but an array of integers
     if kind == "square":
         return SquareCoords()
     if kind == "clamp":

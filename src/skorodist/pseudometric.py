@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 
 from .cadlag import Value, ValueSpaceMismatch
-from .maps import _config_int, _config_number, map_from_config
+from .maps import _check_index, _config_number, map_from_config
 
 
 class Pseudometric:
@@ -130,8 +130,7 @@ class Coordinate(Pseudometric):
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("coordinate index is 1-based")
+        _check_index(self.k, "coordinate index")
 
     def __call__(self, a, b):
         a, b = _vector_pair(a, b)
@@ -256,7 +255,7 @@ def metric_from_config(obj: dict) -> Pseudometric:
         raise ValueError(f"bad pseudometric config: {obj!r}")
     kind = obj["kind"]
     if kind == "coordinate":
-        return Coordinate(_config_int(obj["k"], "coordinate k"))
+        return Coordinate(obj["k"])
     if kind == "euclidean":
         return Euclidean()
     if kind == "discrete":

@@ -17,17 +17,19 @@ def unit_square_value(rng):
     return (rng.random(), rng.random())
 
 
-def box_value(rng, lo=-2.0, hi=2.0, dim=2):
-    return tuple(rng.uniform(lo, hi) for _ in range(dim))
+def box_value(rng, lo=-2.0, hi=2.0):
+    """A 2-D vector uniform on the box [lo, hi]^2."""
+    return (rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
-def random_times(rng, max_jumps, grid=GRID_20):
-    m = rng.randint(0, min(max_jumps, len(grid)))
-    return (0.0, *sorted(rng.sample(grid, m)))
+def random_times(rng, max_jumps):
+    """0 then up to max_jumps distinct jump times from GRID_20."""
+    m = rng.randint(0, min(max_jumps, len(GRID_20)))
+    return (0.0, *sorted(rng.sample(GRID_20, m)))
 
 
-def random_step_function(rng, max_jumps, value_sampler, grid=GRID_20) -> StepFunction:
-    times = random_times(rng, max_jumps, grid)
+def random_step_function(rng, max_jumps, value_sampler) -> StepFunction:
+    times = random_times(rng, max_jumps)
     return make_step(times, [value_sampler(rng) for _ in times])
 
 

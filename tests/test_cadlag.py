@@ -164,7 +164,7 @@ def test_normalize():
     g = f.normalize()
     assert g.times == (0.0, 0.6)
     assert g.values == ((2.0,), (5.0,))
-    assert g.normalize() == g  # idempotent
+    assert g.normalize() is g  # idempotent, and a minimal function is kept
     assert make_step([0.0, 0.5], [3, 3]).normalize() == make_step([0.0], [3])
     assert IND_HALF.normalize() == IND_HALF  # already minimal
 
@@ -201,6 +201,8 @@ def test_json_form_is_as_documented():
         "[]",
         "not json",
         '{"times":[0.1],"values":[[1]]}',
+        '{"times":[0],"values":[true]}',
+        '{"times":[0],"values":[[]]}',
     ],
 )
 def test_json_rejects(text):

@@ -56,6 +56,22 @@ def test_distance_space_mismatch(tmp_path, traces):
     assert main(["distance", traces["x"], str(z)]) == 3
 
 
+def test_certificate_check_space_mismatch(tmp_path, traces):
+    res = tmp_path / "res.json"
+    assert main(["distance", traces["x"], traces["y"], "--out", str(res)]) == 0
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({"times": [0], "values": [[0, 1]]}))
+    assert main(["certificate-check", traces["x"], str(z), str(res)]) == 3
+
+
+def test_certificate_check_unreadable_certificate(tmp_path, traces, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["certificate-check", traces["x"], traces["y"], str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: {missing}: ")
+
+
 def test_distance_with_family_and_index(tmp_path):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
@@ -84,6 +100,28 @@ def test_distance_with_family_and_index(tmp_path):
         == 0
     )
     assert json.loads(out.read_text())["distance"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("index", ["1,x", "3", "0"])
+def test_distance_rejects_a_bad_family_index(index, tmp_path, traces, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"generators": [{"kind": "euclidean"}, {"kind": "discrete"}]}))
+    argv = ["distance", traces["x"], traces["y"], "--family", str(fam), "--metric", index]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: bad index {index!r}: ")
+
+
+def test_distance_named_metrics_without_family(traces, capsys):
+    assert main(["distance", traces["x"], traces["y"], "--metric", "discrete"]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(0.1, abs=1e-9)
+    assert main(["distance", traces["x"], traces["y"], "--metric", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: --metric 'foo' needs --family (or use euclidean/discrete)\n"
+    )
 
 
 def test_distance_labels_default_discrete(tmp_path, capsys):
@@ -117,6 +155,25 @@ def test_certificate_round_trip(traces, tmp_path):
     res = tmp_path / "res.json"
     assert main(["distance", traces["x"], traces["y"], "--out", str(res)]) == 0
     assert main(["certificate-check", traces["x"], traces["y"], str(res)]) == 0
+
+
+def test_certificate_round_trip_on_unnormalized_traces(tmp_path):
+    # x's last jump changes no value; the certificate is a time change of the
+    # normalized pair, and certificate-check audits the normalized x
+    x = tmp_path / "x.json"
+    y = tmp_path / "y.json"
+    res = tmp_path / "res.json"
+    x.write_text(json.dumps({
+        "times": [0, 0.23295774902070854, 0.945734342008963, 0.9457343420089905],
+        "values": [[1e5], [0], [1e5], [1e5]],
+    }))
+    y.write_text(json.dumps({
+        "times": [0, 0.5119210591086867, 0.9999999999999999],
+        "values": [[1e4], [0], [3e4]],
+    }))
+    assert main(["distance", str(x), str(y), "--out", str(res)]) == 0
+    assert json.loads(res.read_text())["distance"] == 90000.0
+    assert main(["certificate-check", str(x), str(y), str(res)]) == 0
 
 
 def test_certificate_rejects_deflated_claim(traces, tmp_path):
@@ -161,6 +218,37 @@ def test_certificate_rejects_non_finite_distance(token, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid certificate: non-finite token '{token}' in input\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{nope",
+        "[]",
+        '{"certificate": {"knots": [[0,0],[1,1]]}}',
+        '{"distance": 0.5}',
+        '{"distance": "0.5", "certificate": {"knots": [[0,0],[1,1]]}}',
+        '{"distance": true, "certificate": {"knots": [[0,0],[1,1]]}}',
+        '{"distance": 0.5, "certificate": {}}',
+        '{"distance": 0.5, "certificate": {"knots": "x"}}',
+        '{"distance": 0.5, "certificate": {"knots": [[0,0],[0.5],[1,1]]}}',
+        '{"distance": 0.5, "certificate": {"knots": [[0,0],5,[1,1]]}}',
+        '{"distance": 0.5, "certificate": {"knots": [[0,0],[0.5,"a"],[1,1]]}}',
+    ],
+    ids=["invalid-json", "not-an-object", "no-distance", "no-certificate",
+         "string-distance", "bool-distance", "no-knots", "string-knots",
+         "short-knot", "number-knot", "string-knot-entry"],
+)
+def test_certificate_rejects_malformed_result_document(text, tmp_path, capsys):
+    trace = tmp_path / "x.json"
+    trace.write_text(json.dumps({"times": [0.0], "values": [[0.0]]}))
+    res = tmp_path / "res.json"
+    res.write_text(text)
+    assert main(["certificate-check", str(trace), str(trace), str(res)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid certificate: ")
+    assert captured.err.count("\n") == 1
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
@@ -252,6 +340,38 @@ def test_trace_rejects_numbers_out_of_float_range(trace, tmp_path, capsys):
 def test_distance_rejects_malformed_family_config(generator, traces, tmp_path, capsys):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"generators": [generator]}))
+    assert main(["distance", traces["x"], traces["y"], "--family", str(fam)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: bad family config: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"space": {"dim": Infinity}, "generators": [{"kind": "euclidean"}]}',
+        '{"generators": [{"kind": "pulled_back", "inner": {"kind": "euclidean"},'
+        ' "map": {"kind": "clamp", "lo": -Infinity, "hi": Infinity}}]}',
+        '{"generators": [{"kind": "pulled_back", "inner": {"kind": "euclidean"},'
+        ' "map": {"kind": "clamp", "lo": -1e400, "hi": 1e400}}]}',
+        '{"generators": [{"kind": "pulled_back", "inner": {"kind": "euclidean"},'
+        ' "map": {"kind": "affine", "matrix": [[NaN]], "offset": [0]}}]}',
+        '{"generators": [{"kind": "pulled_back", "inner": {"kind": "euclidean"},'
+        ' "map": {"kind": "affine", "matrix": [[1]], "offset": [-Infinity]}}]}',
+    ],
+    ids=["infinity-in-space", "clamp-infinity", "clamp-1e400", "affine-nan",
+         "affine-minus-infinity"],
+)
+def test_family_config_rejects_non_finite_numbers_before_solving(
+    config, traces, tmp_path, capsys, monkeypatch
+):
+    def solve(*args):
+        raise AssertionError("solved with a non-finite config")
+
+    monkeypatch.setattr(cli, "skorohod_distance", solve)
+    fam = tmp_path / "family.json"
+    fam.write_text(config)
     assert main(["distance", traces["x"], traces["y"], "--family", str(fam)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -291,6 +291,24 @@ def test_distance_constants():
     assert oracle_distance(ZERO, ONE, ABS) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_unnormalized_input_gets_a_certificate():
+    # x's last jump changes no value.  On the raw pair the search's path puts
+    # it between y's jump at 1 - 2**-53 and 1, where no float lies, so the
+    # solve and the audit run on the normalized pair; composing the raw x
+    # with the certificate would collapse that jump onto the one before it.
+    x = make_step(
+        [0.0, 0.23295774902070854, 0.945734342008963, 0.9457343420089905],
+        [1e5, 0.0, 1e5, 1e5],
+    )
+    y = make_step([0.0, 0.5119210591086867, 0.9999999999999999], [1e4, 0.0, 3e4])
+    res = skorohod_distance(x, y, ABS)
+    assert res.value == 90000.0 == oracle_distance(x, y, ABS)
+    assert check_certificate(x, y, ABS, res.value, res.certificate) == (True, 90000.0)
+    assert feasible(x, y, res.value, ABS)[0]
+    with pytest.raises(ValueError):
+        compose_time_change(x, res.certificate)
+
+
 class _CountingDP(_BandedDP):
     __slots__ = ("probes",)
 

@@ -170,6 +170,27 @@ def test_invalid_configs():
         PseudometricFamily([])
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Coordinate(0), ValueError),
+        (lambda: Coordinate(1.7), TypeError),
+        (lambda: Coordinate(True), TypeError),
+        (lambda: Coordinate("1"), TypeError),
+        (lambda: Project(()), ValueError),
+        (lambda: Project((1.5,)), TypeError),
+        (lambda: Project((1, True)), TypeError),
+        (lambda: Project((2, 0)), ValueError),
+    ],
+    ids=["coordinate-0", "coordinate-float", "coordinate-bool", "coordinate-str",
+         "project-empty", "project-float", "project-bool", "project-0"],
+)
+def test_index_constructors_reject_non_indices(build, error):
+    # an index is an int, not a bool, and at least 1
+    with pytest.raises(error):
+        build()
+
+
 def test_invalid_index():
     fam = coordinate_family(2)
     with pytest.raises(ValueError):

@@ -522,6 +522,13 @@ def test_map_registry_round_trip():
         assert map_from_config(cfg) == m
 
 
+def test_clamp_applies():
+    m = Clamp(-1.0, 1.0)
+    assert m((-2.0, 0.5, 3.0)) == (-1.0, 0.5, 1.0)
+    with pytest.raises(ValueSpaceMismatch):
+        m("idle")
+
+
 def test_affine_map_applies():
     m = AffineMap(((1.0, 0.5), (0.0, 2.0)), (0.1, -0.2))
     assert m((2.0, 4.0)) == (2.0 + 2.0 + 0.1, 8.0 - 0.2)
