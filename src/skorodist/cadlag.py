@@ -2,9 +2,10 @@
 
 A step function is stored as jump times ``t_0 = 0 < t_1 < ... < t_{n-1} < 1``
 together with one value per piece: piece ``k`` holds ``values[k]`` on
-``[t_k, t_{k+1})``, and the final piece is closed at 1.  Right-continuity and
-existence of left limits hold by construction, so evaluation, left limits and
-the range closure are exact finite computations rather than limit procedures.
+``[t_k, t_{k+1})``, and the final piece is closed at 1; adjacent pieces hold
+different values.  Right-continuity and existence of left limits hold by
+construction, so evaluation, left limits and the range closure are exact
+finite computations rather than limit procedures.
 
 Values are either real vectors of a fixed dimension (float tuples) or labels
 from a finite alphabet (strings); a single function never mixes the two.
@@ -109,11 +110,21 @@ class StepFunction:
     """Piecewise-constant cadlag function on [0, 1].
 
     Construct through :func:`make_step`, which validates the representation.
-    Instances are immutable; all methods are pure.
+    Adjacent pieces with equal values merge on construction, keeping the first
+    value of each run; equality is ``==`` per coordinate, so 0.0 and -0.0
+    merge.  A jump that changes no value would need a float knot of its own
+    in every certificate.  Instances are immutable; all methods are pure.
     """
 
     times: tuple[float, ...]
     values: tuple[Value, ...]
+
+    def __post_init__(self):
+        vs = self.values
+        if any(map(operator.eq, vs, vs[1:])):
+            keep = [k for k, v in enumerate(vs) if not k or v != vs[k - 1]]
+            object.__setattr__(self, "times", tuple(self.times[k] for k in keep))
+            object.__setattr__(self, "values", tuple(vs[k] for k in keep))
 
     def __call__(self, t: float) -> Value:
         """Value at ``t``: right-continuous, last piece closed at 1."""
@@ -145,25 +156,6 @@ class StepFunction:
         """
         return set(self.values)
 
-    def normalize(self) -> StepFunction:
-        """Merge adjacent pieces with exactly equal values.
-
-        Idempotent, preserves evaluation everywhere up to ``==``, and yields
-        the minimal representation of the same function.  Equality is ``==``
-        per coordinate, so pieces of 0.0 and -0.0 merge; no approximate
-        merging happens here.  Returns ``self`` when no two adjacent pieces
-        are equal.
-        """
-        if not any(map(operator.eq, self.values, self.values[1:])):
-            return self
-        ts = [self.times[0]]
-        vs = [self.values[0]]
-        for t, v in zip(self.times[1:], self.values[1:]):
-            if v != vs[-1]:
-                ts.append(t)
-                vs.append(v)
-        return StepFunction(tuple(ts), tuple(vs))
-
     def interior_jumps(self) -> tuple[float, ...]:
         """Jump times in (0, 1); excludes the leading 0."""
         return self.times[1:]
@@ -180,8 +172,8 @@ def make_step(times: Iterable[float], values: Iterable) -> StepFunction:
     """Validated constructor.
 
     Requires equal lengths, ``times[0] == 0``, strictly increasing times in
-    [0, 1), and values from a single value space.  Does *not* merge equal
-    adjacent values; see :meth:`StepFunction.normalize`.
+    [0, 1), and values from a single value space.  Equal adjacent values
+    merge, as in every :class:`StepFunction`.
     """
     try:
         ts = tuple(float(t) for t in times)
@@ -211,7 +203,7 @@ def compose_time_change(f: StepFunction, lam: "TimeChange") -> StepFunction:
 
     Composing with a time change moves each interior jump time ``t_k`` of
     ``f`` to ``lam^{-1}(t_k)`` and leaves the piece values untouched, in
-    order.  The result is not normalized.
+    order, so the result has no equal adjacent values either.
     """
     new_times = [0.0]
     for t in f.times[1:]:

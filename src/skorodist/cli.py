@@ -54,16 +54,16 @@ def _read(path):
         raise TraceParseError(f"{path}: {exc}") from exc
 
 
-def _resolve_metric(args, x, y):
+def _resolve_metric(args, x):
     """Pick the value pseudometric: a family index when --family is given,
     otherwise the named metric, or without --metric euclidean for vectors and
     discrete for labels."""
-    if args.family:
+    if args.family is not None:
         try:
             family = family_from_config(strict_json(_read(args.family), ValueError))
         except ValueError as exc:
             raise TraceParseError(f"bad family config: {exc}") from exc
-        if args.metric:
+        if args.metric is not None:
             try:
                 index = frozenset(int(k) for k in args.metric.split(","))
                 return family.metric(index)
@@ -87,7 +87,7 @@ def _load_inputs(args):
     y = step_from_json(_read(args.y))
     if x.space() != y.space():
         raise ValueSpaceMismatch(f"{x.space()} vs {y.space()}")
-    return x, y, _resolve_metric(args, x, y)
+    return x, y, _resolve_metric(args, x)
 
 
 def cmd_distance(args) -> int:

@@ -40,10 +40,10 @@ distance is evaluated.  Otherwise, and for the thresholds of the search, the
 piece distances come from one ``Pseudometric._table`` of the solve: when a
 probe's band reaches past the distances known so far, a row grows at either
 end by one batched evaluation, with no Python call per pair under
-``Coordinate``, ``Euclidean`` and ``MaxOf``.  A plain callable metric is
-evaluated pair by pair.  The table evaluates nothing until a row is asked
-for, so a solve that its first probe settles under a mask metric evaluates
-only the two endpoint cells of L.
+``Coordinate``, ``Euclidean`` and a ``MaxOf`` of interval parts.  A plain
+callable metric is evaluated pair by pair.  The table evaluates nothing until
+a row is asked for, so a solve that its first probe settles under a mask
+metric evaluates only the two endpoint cells of L.
 A caller that needs only the verdict "distance <= eps" gets it from one probe
 (``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
@@ -467,15 +467,14 @@ def _certificate(events) -> TimeChange:
 def feasible(x: StepFunction, y: StepFunction, eps: float, d):
     """Decide "Skorohod distance <= eps" (closed relaxation), with witness.
 
-    Returns ``(True, lam)`` where ``lam`` is a strict time change of the
-    normalized pair (``x.normalize()`` against ``y.normalize()``) realising
+    Returns ``(True, lam)`` where ``lam`` is a strict time change realising
     time deviation <= eps + CERT_TOL and value supremum <= eps, or
     ``(False, None)``.  Feasibility is monotone in eps, and closed feasibility
     at eps equals strict feasibility at every eps' > eps, so the predicate is
     exactly "infimum <= eps", decided without tolerance: the distance is the
     least float eps at which it holds.
     """
-    dp = _BandedDP(x.normalize(), y.normalize(), d)  # checks the space before eps
+    dp = _BandedDP(x, y, d)  # checks the space before eps
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     probed = dp.probe(eps)
@@ -522,18 +521,12 @@ def candidate_thresholds(x: StepFunction, y: StepFunction, d) -> list[float]:
 def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     """Exact Skorohod distance with a witnessing time change.
 
-    The solve runs on the normalized pair, ``x.normalize()`` against
-    ``y.normalize()``: merging equal adjacent pieces leaves each function,
-    and so the distance, unchanged, and a jump that changes no value then
-    needs no float knot of its own.  The value is the smallest feasible
-    candidate threshold.  The search brackets it from
-    L = max(d(x(0), y(0)), d(x(1), y(1))) upward and binary-searches only the
-    candidates inside the bracket, each probe filling the banded feasibility
-    DP.  The certificate is a time change of the normalized pair, and its
-    recomputed time and value suprema satisfy
-    ``max(time_sup, value_sup) <= value + CERT_TOL``.
+    The value is the smallest feasible candidate threshold.  The search
+    brackets it from L = max(d(x(0), y(0)), d(x(1), y(1))) upward and
+    binary-searches only the candidates inside the bracket, each probe
+    filling the banded feasibility DP.  The certificate's recomputed time and
+    value suprema satisfy ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
-    x, y = x.normalize(), y.normalize()
     dp = _BandedDP(x, y, d)
     value, probed = dp.least_feasible()
     cert = _certificate(dp.events(probed))
@@ -576,14 +569,13 @@ def check_certificate(
     """Recompute the certified bound max(warp deviation, value supremum).
 
     Returns ``(ok, bound)`` with ``ok`` true iff ``bound <= claimed + CERT_TOL``.
-    The value supremum is recomputed from scratch via composition of
-    ``x.normalize()`` with the certificate, the x that ``skorohod_distance``
-    and ``feasible`` certify, so this audits the certificate without trusting
-    the distance computation.  A certificate that merges two jump times of
-    the normalized x is invalid.
+    The value supremum is recomputed from scratch via composition of x with
+    the certificate, so this audits the certificate without trusting the
+    distance computation.  A certificate that merges two jump times of x is
+    invalid.
     """
     try:
-        warped = compose_time_change(x.normalize(), cert)
+        warped = compose_time_change(x, cert)
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc
     bound = max(cert.warp_deviation(), uniform_distance(warped, y, d))

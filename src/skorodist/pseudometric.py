@@ -36,7 +36,8 @@ class Pseudometric:
     A distance solve evaluates the metric through ``_table`` and ``_balls``.
     Their ``xs`` and ``ys`` are the values of two ``make_step`` functions of
     one value space, and ``dim`` is that space's dimension, or None for
-    labels.  Their results are bit-identical to ``__call__``.
+    labels.  Their results are bit-identical to ``__call__``.  Both are built
+    from ``_coords`` for an interval metric, max_k |a[k] - b[k]| over some k.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
@@ -44,8 +45,21 @@ class Pseudometric:
 
     def _table(self, xs, ys, dim):
         """``rows`` with ``rows(i, lo, hi) == [self(xs[i], y) for y in
-        ys[lo:hi]]``; by default one call per pair."""
-        return _pairwise_table(self, xs, ys)
+        ys[lo:hi]]``."""
+        ks = self._coords(dim)
+        if ks is None:
+            return _pairwise_table(self, xs, ys)
+
+        def rows(i, lo, hi):
+            a, part, out = xs[i], ys[lo:hi], None
+            for k in ks:
+                ak = a[k]
+                col = [abs(ak - b[k]) for b in part]
+                # max(max(u, v), w) picks what max(u, v, w) picks
+                out = col if out is None else list(map(max, out, col))
+            return out
+
+        return rows
 
     def _balls(self, xs, ys, dim):
         """``mask`` with ``mask(i, eps)`` the int bitset of the j with
@@ -140,17 +154,6 @@ class Coordinate(Pseudometric):
             )
         return abs(a[self.k - 1] - b[self.k - 1])
 
-    def _table(self, xs, ys, dim):
-        if dim is None or self.k > dim:
-            return _pairwise_table(self, xs, ys)  # raises as the first bad pair does
-        k = self.k - 1
-
-        def rows(i, lo, hi):
-            ak = xs[i][k]
-            return [abs(ak - b[k]) for b in ys[lo:hi]]
-
-        return rows
-
     def _coords(self, dim):
         return None if dim is None or self.k > dim else [self.k - 1]
 
@@ -221,24 +224,6 @@ class MaxOf(Pseudometric):
 
     def __call__(self, a, b):
         return max(p(a, b) for p in self.parts)
-
-    def _table(self, xs, ys, dim):
-        first, *rest = [p._table(xs, ys, dim) for p in self.parts]
-
-        def rows(i, lo, hi):
-            # max(max(u, v), w) picks what max(u, v, w) picks, NaN included
-            try:
-                out = first(i, lo, hi)
-                for part in rest:
-                    out = list(map(max, out, part(i, lo, hi)))
-            except Exception:
-                # A part failed.  The pairwise loop raises the first bad
-                # pair's error, which may come from a later part on an
-                # earlier pair.
-                return _pairwise_table(self, xs, ys)(i, lo, hi)
-            return out
-
-        return rows
 
     def _coords(self, dim):
         out = []

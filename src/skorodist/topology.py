@@ -321,11 +321,10 @@ def t1_transfer_check(
 def pushforward(value_map, x: StepFunction) -> StepFunction:
     """Compose a value map with a step function: t -> psi(x(t)).
 
-    Applies psi to each piece value and normalizes, since psi may merge
-    adjacent values (a projection can erase a jump entirely).
+    Applies psi to each piece value.  Pieces that psi makes equal merge, so a
+    projection can erase a jump entirely.
     """
-    mapped = make_step(x.times, [value_map(v) for v in x.values])
-    return mapped.normalize()
+    return make_step(x.times, [value_map(v) for v in x.values])
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,41 @@
 import json
 import math
+import operator
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skorodist.cadlag import (
     SplitPoint,
+    StepFunction,
     TraceParseError,
     ValueSpaceMismatch,
+    coerce_value,
     compose_time_change,
     make_step,
     minus,
     plus,
     step_from_json,
 )
-from skorodist.distance import TimeChange
-from skorodist.sampling import random_step_function, random_time_change, scalar_level_value
+from skorodist.distance import (
+    TimeChange,
+    bisect_distance,
+    check_certificate,
+    oracle_distance,
+    skorohod_distance,
+    uniform_distance,
+)
+from skorodist.pseudometric import Discrete, Euclidean
+from skorodist.sampling import (
+    GRID_20,
+    random_step_function,
+    random_time_change,
+    random_times,
+    scalar_level_value,
+)
 
 CONST5 = make_step([0.0], [5.0])
 IND_HALF = make_step([0.0, 0.5], [0.0, 1.0])
@@ -153,29 +173,50 @@ def test_compose_associative_up_to_normalize():
         f = random_step_function(rng, 5, scalar_level_value)
         lam1 = random_time_change(rng)
         lam2 = random_time_change(rng)
-        left = compose_time_change(f, _after(lam1, lam2)).normalize()
-        right = compose_time_change(compose_time_change(f, lam1), lam2).normalize()
+        left = compose_time_change(f, _after(lam1, lam2))
+        right = compose_time_change(compose_time_change(f, lam1), lam2)
         assert left.values == right.values
         assert left.times == pytest.approx(right.times, abs=1e-9)
 
 
+def _merged(times, values):
+    """The raw pieces with each run of equal adjacent values cut down to its
+    first piece."""
+    keep = [k for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
+    return [times[k] for k in keep], [values[k] for k in keep]
+
+
+def _raw_at(times, values, t, left=False):
+    """The raw piecewise definition at t, or its left limit (f(0-) = f(0))."""
+    k = bisect_right(times, t) - 1
+    if left and k and times[k] == t:
+        k -= 1
+    return coerce_value(values[k])
+
+
 def test_normalize():
+    # equal adjacent pieces merge on construction, keeping the first value
     f = make_step([0.0, 0.3, 0.6], [2, 2, 5])
-    g = f.normalize()
-    assert g.times == (0.0, 0.6)
-    assert g.values == ((2.0,), (5.0,))
-    assert g.normalize() is g  # idempotent, and a minimal function is kept
-    assert make_step([0.0, 0.5], [3, 3]).normalize() == make_step([0.0], [3])
-    assert IND_HALF.normalize() == IND_HALF  # already minimal
+    assert f.times == (0.0, 0.6)
+    assert f.values == ((2.0,), (5.0,))
+    assert make_step([0.0, 0.5], [3, 3]) == make_step([0.0], [3])
+    assert StepFunction((0.0, 0.5), ((3.0,), (3.0,))) == make_step([0.0], [3])
+    assert repr(make_step([0.0, 0.5], [0.0, -0.0]).values) == "((0.0,),)"
+    assert repr(make_step([0.0, 0.5], [-0.0, 0.0]).values) == "((-0.0,),)"
+    assert make_step([0.0, 0.5], ["a", "a"]).times == (0.0,)
+    assert IND_HALF.times == (0.0, 0.5)  # already minimal
 
 
 def test_normalize_preserves_eval():
+    # a merged function evaluates as its raw pieces do
     rng = random.Random(6)
     for _ in range(25):
-        f = random_step_function(rng, 6, scalar_level_value)
-        g = f.normalize()
-        for t in [0.0, 0.2, 0.5, 0.77, 1.0, *f.times]:
-            assert g(t) == f(t)
+        times = random_times(rng, 6)
+        values = [scalar_level_value(rng) for _ in times]
+        f = make_step(times, values)
+        for t in [0.0, 0.2, 0.5, 0.77, 1.0, *times]:
+            assert f(t) == _raw_at(times, values, t)
+            assert f.left_limit(t) == _raw_at(times, values, t, left=True)
 
 
 def test_json_round_trip():
@@ -215,3 +256,55 @@ def test_values_are_immutable_tuples():
     assert isinstance(f.values[0], tuple)
     assert all(isinstance(c, float) for c in f.values[0])
     assert math.isfinite(f.values[0][0])
+
+
+# --- property: a step function has one representation ----------------------
+
+
+# 0 then up to 5 jumps, so that a pair stays within the oracle's bound
+RAW_TIMES = st.lists(
+    st.sampled_from(GRID_20) | st.floats(1e-6, 1.0 - 1e-6), max_size=5, unique=True
+).map(lambda ts: [0.0, *sorted(ts)])
+
+
+@st.composite
+def raw_pairs(draw):
+    """Raw (times, values) of two functions of one value space, with many
+    equal adjacent values: scalar levels with both zeros, or labels."""
+    if draw(st.booleans()):
+        value, d = st.sampled_from((0.0, -0.0, 0.5, 1.0)), Euclidean()
+    else:
+        value, d = st.sampled_from("ab"), Discrete()
+    raws = []
+    for times in (draw(RAW_TIMES), draw(RAW_TIMES)):
+        raws.append((times, [draw(value) for _ in times]))
+    return raws, d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inst=raw_pairs())
+def test_every_step_function_is_minimal(inst):
+    raws, d = inst
+    pairs = []
+    for times, values in raws:
+        f = make_step(times, values)
+        built = StepFunction(tuple(times), tuple(map(coerce_value, values)))
+        assert repr(built) == repr(f)
+        assert not any(map(operator.eq, f.values, f.values[1:]))
+        premerged = make_step(*_merged(times, values))
+        assert repr(f) == repr(premerged)  # the first value of a run is kept
+        mids = [(s + t) / 2 for s, t in zip(times, [*times[1:], 1.0])]
+        for t in [*times, *mids, 1.0]:
+            assert f(t) == _raw_at(times, values, t)
+            assert f.left_limit(t) == _raw_at(times, values, t, left=True)
+        pairs.append((f, premerged))
+    (x, x_premerged), (y, y_premerged) = pairs
+    res = skorohod_distance(x, y, d)
+    assert repr(res) == repr(skorohod_distance(x_premerged, y_premerged, d))
+    assert bisect_distance(x, y, d) == bisect_distance(x_premerged, y_premerged, d)
+    assert bisect_distance(x, y, d) == res.value
+    assert oracle_distance(x, y, d) == oracle_distance(x_premerged, y_premerged, d)
+    assert oracle_distance(x, y, d) == res.value
+    # the certificate is a time change of x itself
+    assert uniform_distance(compose_time_change(x, res.certificate), y, d) == res.value_sup
+    assert check_certificate(x, y, d, res.value, res.certificate)[0]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,14 +27,39 @@ def traces(tmp_path):
     return paths
 
 
-def test_distance_output(traces, tmp_path, capsys):
+# the output of the README's distance example, which shows it indented by 2
+README_DISTANCE = """\
+{
+  "certificate": {
+    "knots": [
+      [
+        0.0,
+        0.0
+      ],
+      [
+        0.6,
+        0.5
+      ],
+      [
+        1.0,
+        1.0
+      ]
+    ]
+  },
+  "distance": 0.09999999999999998,
+  "time_sup": 0.09999999999999998,
+  "value_sup": 0.0
+}
+"""
+
+
+def test_distance_output(traces, tmp_path):
     out = tmp_path / "res.json"
     assert main(["distance", traces["x"], traces["y"], "--out", str(out)]) == 0
-    res = json.loads(out.read_text())
-    assert res["distance"] == pytest.approx(0.1, abs=1e-9)
-    assert res["time_sup"] == pytest.approx(0.1, abs=1e-9)
-    assert res["value_sup"] == 0.0
-    assert res["certificate"]["knots"] == [[0.0, 0.0], [0.6, 0.5], [1.0, 1.0]]
+    assert out.read_bytes() == README_DISTANCE.encode()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert json.dumps(IND_05) in readme and json.dumps(IND_06) in readme
+    assert textwrap.indent(README_DISTANCE, "  ") in readme
 
 
 def test_distance_identical_files(traces, capsys):
@@ -91,7 +117,7 @@ def test_distance_with_family_and_index(tmp_path):
     )
     out = tmp_path / "res.json"
     assert main(["distance", str(x), str(y), "--family", str(fam), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["distance"] == pytest.approx(0.7)
+    assert json.loads(out.read_text())["distance"] == 0.7
     assert (
         main(
             ["distance", str(x), str(y), "--family", str(fam), "--metric", "1",
@@ -99,10 +125,10 @@ def test_distance_with_family_and_index(tmp_path):
         )
         == 0
     )
-    assert json.loads(out.read_text())["distance"] == pytest.approx(0.2)
+    assert json.loads(out.read_text())["distance"] == 0.2
 
 
-@pytest.mark.parametrize("index", ["1,x", "3", "0"])
+@pytest.mark.parametrize("index", ["1,x", "3", "0", ""])
 def test_distance_rejects_a_bad_family_index(index, tmp_path, traces, capsys):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"generators": [{"kind": "euclidean"}, {"kind": "discrete"}]}))
@@ -113,9 +139,16 @@ def test_distance_rejects_a_bad_family_index(index, tmp_path, traces, capsys):
     assert captured.err.startswith(f"parse error: bad index {index!r}: ")
 
 
+def test_distance_rejects_an_empty_family_path(traces, capsys):
+    assert main(["distance", traces["x"], traces["y"], "--family", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: bad family config: ")
+
+
 def test_distance_named_metrics_without_family(traces, capsys):
     assert main(["distance", traces["x"], traces["y"], "--metric", "discrete"]) == 0
-    assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(0.1, abs=1e-9)
+    assert json.loads(capsys.readouterr().out)["distance"] == 0.6 - 0.5
     assert main(["distance", traces["x"], traces["y"], "--metric", "foo"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -158,8 +191,7 @@ def test_certificate_round_trip(traces, tmp_path):
 
 
 def test_certificate_round_trip_on_unnormalized_traces(tmp_path):
-    # x's last jump changes no value; the certificate is a time change of the
-    # normalized pair, and certificate-check audits the normalized x
+    # x's last jump changes no value, and reading x merges it away
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
     res = tmp_path / "res.json"
@@ -430,7 +462,7 @@ def test_distance_rejects_a_metric_nested_past_the_recursion_limit(
     metric = Euclidean()
     for _ in range(sys.getrecursionlimit()):
         metric = Scaled(1.0, metric)
-    monkeypatch.setattr(cli, "_resolve_metric", lambda args, x, y: metric)
+    monkeypatch.setattr(cli, "_resolve_metric", lambda args, x: metric)
     assert main(["distance", traces["x"], traces["y"]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -481,7 +513,7 @@ def test_console_script_entry_point(traces):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["distance"] == pytest.approx(0.1, abs=1e-9)
+    assert json.loads(proc.stdout)["distance"] == 0.6 - 0.5
 
 
 @pytest.mark.parametrize(

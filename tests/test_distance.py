@@ -199,12 +199,12 @@ def test_distance_to_self_is_zero_with_identity_certificate():
 
 def test_distance_indicator_shift_example():
     res = skorohod_distance(IND_05, IND_06, ABS)
-    assert res.value == pytest.approx(0.1, abs=1e-9)
+    assert res.value == 0.6 - 0.5
     assert res.certificate.knots == ((0.0, 0.0), (0.6, 0.5), (1.0, 1.0))
-    assert res.time_sup == pytest.approx(0.1, abs=1e-9)
+    assert res.time_sup == 0.6 - 0.5
     assert res.value_sup == 0.0
     # independently by the oracle
-    assert oracle_distance(IND_05, IND_06, ABS) == pytest.approx(0.1, abs=1e-9)
+    assert oracle_distance(IND_05, IND_06, ABS) == 0.6 - 0.5
 
 
 def test_distance_equal_jump_different_heights():
@@ -213,7 +213,7 @@ def test_distance_equal_jump_different_heights():
     res = skorohod_distance(x, y, ABS)
     assert res.value == abs(1.0 - 0.8)
     assert res.time_sup == 0.0  # identity alignment
-    assert oracle_distance(x, y, ABS) == pytest.approx(res.value, abs=1e-9)
+    assert oracle_distance(x, y, ABS) == res.value
 
 
 def test_distance_is_endpoint_bound_above_window_candidate():
@@ -288,25 +288,23 @@ def test_tiny_scales_are_exact(x, y, want):
 
 def test_distance_constants():
     assert skorohod_distance(ZERO, ONE, ABS).value == 1.0
-    assert oracle_distance(ZERO, ONE, ABS) == pytest.approx(1.0, abs=1e-12)
+    assert oracle_distance(ZERO, ONE, ABS) == 1.0
 
 
 def test_unnormalized_input_gets_a_certificate():
-    # x's last jump changes no value.  On the raw pair the search's path puts
-    # it between y's jump at 1 - 2**-53 and 1, where no float lies, so the
-    # solve and the audit run on the normalized pair; composing the raw x
-    # with the certificate would collapse that jump onto the one before it.
+    # x's last jump changes no value, so make_step merges it away.  Kept, the
+    # search's path would put it between y's jump at 1 - 2**-53 and 1, where
+    # no float lies.
     x = make_step(
         [0.0, 0.23295774902070854, 0.945734342008963, 0.9457343420089905],
         [1e5, 0.0, 1e5, 1e5],
     )
     y = make_step([0.0, 0.5119210591086867, 0.9999999999999999], [1e4, 0.0, 3e4])
+    assert x.times == (0.0, 0.23295774902070854, 0.945734342008963)
     res = skorohod_distance(x, y, ABS)
     assert res.value == 90000.0 == oracle_distance(x, y, ABS)
     assert check_certificate(x, y, ABS, res.value, res.certificate) == (True, 90000.0)
     assert feasible(x, y, res.value, ABS)[0]
-    with pytest.raises(ValueError):
-        compose_time_change(x, res.certificate)
 
 
 class _CountingDP(_BandedDP):
@@ -771,7 +769,7 @@ def test_distance_is_exact_on_adversarial_inputs(inst):
     value, oracle = res.value, oracle_distance(x, y, ABS)
     assert feasible(x, y, value, ABS)[0]
     assert value == 0.0 or not feasible(x, y, math.nextafter(value, 0.0), ABS)[0]
-    assert oracle <= value <= oracle + math.ulp(oracle)
+    assert value == oracle
     ok, bound = check_certificate(x, y, ABS, value, res.certificate)
     assert ok, bound
 

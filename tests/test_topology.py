@@ -102,7 +102,7 @@ def test_modulus_identity_case():
 def test_modulus_coordinate_fast_path():
     mod = uniform_modulus(COORDS, K_PAIR, Euclidean(), 0.1)
     assert mod.index == frozenset({1, 2})
-    assert mod.delta == pytest.approx(0.1 / (2 * math.sqrt(2)), abs=1e-15)
+    assert mod.delta == 0.1 / (2 * math.sqrt(2))
 
 
 def test_modulus_coordinate_fast_path_rejection_validated():
@@ -476,8 +476,10 @@ def test_transfer_degenerate_fine_family_signals():
 
 
 def test_pushforward_identity_normalizes():
+    # x's equal pieces merged when it was made, and the identity keeps x
     x = make_step([0.0, 0.5], [[1.0], [1.0]])
-    assert pushforward(Identity(), x) == x.normalize()
+    assert x.times == (0.0,)
+    assert repr(pushforward(Identity(), x)) == repr(x)
 
 
 def test_pushforward_projection_merges():
@@ -501,8 +503,8 @@ def test_pushforward_commutes_with_time_change():
     for _ in range(20):
         x = random_step_function(rng, 4, lambda r: box_value(r))
         lam = random_time_change(rng)
-        left = pushforward(SquareCoords(), compose_time_change(x, lam)).normalize()
-        right = compose_time_change(pushforward(SquareCoords(), x), lam).normalize()
+        left = pushforward(SquareCoords(), compose_time_change(x, lam))
+        right = compose_time_change(pushforward(SquareCoords(), x), lam)
         assert left.values == right.values
         assert left.times == pytest.approx(right.times, abs=1e-12)
 
