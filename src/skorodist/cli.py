@@ -48,10 +48,12 @@ def _emit(obj, out_path):
 
 
 def _read(path):
+    # open, not Path: the message names the path as given, and Path("") is "."
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
-        raise TraceParseError(f"{path}: {exc}") from exc
+        raise TraceParseError(str(exc)) from exc
 
 
 def _resolve_metric(args, x):

@@ -33,17 +33,11 @@ the piece distances of the band at the bracket's top.  Each probe
 decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
 A row's value check is the bitset of the y-pieces within eps of its x-piece.
-Under a metric with ball masks (``Pseudometric._balls``: ``Coordinate``,
-one-dimensional ``Euclidean``, and ``MaxOf`` of these) it is one
-``mask(i, eps)``, from bisects on y-values sorted once per solve, and no piece
-distance is evaluated.  Otherwise, and for the thresholds of the search, the
-piece distances come from one ``Pseudometric._table`` of the solve: when a
-probe's band reaches past the distances known so far, a row grows at either
-end by one batched evaluation, with no Python call per pair under
-``Coordinate``, ``Euclidean`` and a ``MaxOf`` of interval parts.  A plain
-callable metric is evaluated pair by pair.  The table evaluates nothing until
-a row is asked for, so a solve that its first probe settles under a mask
-metric evaluates only the two endpoint cells of L.
+It and the piece distances of the thresholds come from
+``pseudometric._piece_values``, the one place that evaluates d in a solve,
+and only for the pairs that some probe's band reaches.  Under an interval
+metric the bitset needs no piece distance, so a solve that its first probe
+settles evaluates only the two endpoint cells of L.
 A caller that needs only the verdict "distance <= eps" gets it from one probe
 (``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
@@ -59,16 +53,14 @@ suprema are reported alongside the distance.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 
 from .cadlag import StepFunction, compose_time_change, require_same_space, strict_json
-from .pseudometric import Pseudometric, _pairwise_table
+from .pseudometric import _piece_values
 
 CERT_TOL = 1e-9
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class CertificateError(ValueError):
@@ -230,31 +222,21 @@ class _BandedDP:
     """Feasibility probes at any eps for one (x, y, d).
 
     Each probe computes the reachable states of the band at its eps, one
-    bitset per row.  A row's value check is one ``mask(i, eps)`` of
-    ``Pseudometric._balls``, ANDed with the band, when d has masks.
-    Otherwise, and for ``thresholds`` and ``largest_distance``, the piece
-    distances are evaluated lazily, once per solve, for the states that some
-    probe's band reaches: each row of them grows at either end through one
-    ``Pseudometric._table`` of the solve (a pairwise loop for a plain
-    callable d).  Construction checks that x and y share a value space, for
-    every entry point that builds one, and builds the table and the masks
-    from that space without scanning the values: ``make_step`` has checked
-    them.  Every entry point probes, so the masks are used once built.
+    bitset per row.  The one ``_piece_values`` of the solve gives a row's
+    value check, ``matches``, and the piece distances of ``thresholds`` and
+    ``largest_distance``, ``distances``.  Construction checks that x and y
+    share a value space, for every entry point that builds one, and hands
+    the evaluator that space without scanning the values: ``make_step`` has
+    checked them.
     """
 
-    __slots__ = (
-        "xv", "dist_rows", "mask", "a", "b", "one", "edges", "bs", "dist", "dist_lo",
-    )
+    __slots__ = ("xv", "distances", "matches", "a", "b", "one", "edges", "bs")
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
         require_same_space(x.values[0], y.values[0])
         self.xv, yv = x.values, y.values
-        if isinstance(d, Pseudometric):
-            dim = None if isinstance(yv[0], str) else len(yv[0])
-            self.dist_rows = d._table(self.xv, yv, dim)
-            self.mask = d._balls(self.xv, yv, dim)
-        else:
-            self.dist_rows, self.mask = _pairwise_table(d, self.xv, yv), None
+        dim = None if isinstance(yv[0], str) else len(yv[0])
+        self.distances, self.matches = _piece_values(d, self.xv, yv, dim)
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
         ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
         one = max([den for _, den in ratios], default=1)
@@ -262,9 +244,6 @@ class _BandedDP:
         m, self.one = len(self.a), one
         # x-piece i is [edges[i], edges[i + 1]); bs are the scaled y-jumps
         self.edges, self.bs = (0, *scaled[:m], one), scaled[m:]
-        # dist[i][k] = d(x-piece i, y-piece dist_lo[i] + k)
-        self.dist = [[] for _ in self.xv]
-        self.dist_lo = [0] * len(self.xv)
 
     def scaled(self, eps):
         """floor(min(eps, 1) * S), the eps of a time comparison."""
@@ -272,30 +251,6 @@ class _BandedDP:
             return self.one
         num, den = eps.as_integer_ratio()
         return num * self.one // den
-
-    def distances(self, i, lo, hi):
-        """[d(x-piece i, y-piece j) for j = lo..hi]."""
-        row, start = self.dist[i], self.dist_lo[i]
-        if not row:
-            start = self.dist_lo[i] = lo
-        end = start + len(row)
-        if lo < start:
-            row[:0] = self.dist_rows(i, lo, start)
-            start = self.dist_lo[i] = lo
-        if hi >= end:
-            row.extend(self.dist_rows(i, end, hi + 1))
-        return row[lo - start : hi - start + 1]
-
-    def matches(self, i, lo, hi, eps):
-        """Bitset of the j = lo..hi with d(x-piece i, y-piece j) <= eps."""
-        if self.mask is not None:
-            return self.mask(i, eps) & (2 << hi) - (1 << lo)
-        dists = self.distances(i, lo, hi)[::-1]
-        try:
-            flags = bytes(map(operator.le, dists, repeat(eps)))
-        except TypeError:  # a comparison that gives no bool, e.g. numpy's
-            flags = bytes(map(bool, map(operator.le, dists, repeat(eps))))
-        return int(flags.translate(_BINARY_DIGITS), 2) << lo
 
     def band(self, e):
         """(i, lo, hi) for rows i = 0..m: row i spans y-pieces lo..hi at the

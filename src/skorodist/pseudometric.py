@@ -22,6 +22,7 @@ arises at runtime.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -29,28 +30,43 @@ from itertools import combinations, repeat
 from .cadlag import Value, ValueSpaceMismatch
 from .maps import _check_index, _config_number, map_from_config
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 class Pseudometric:
     """Base class; concrete kinds are frozen dataclasses implementing __call__.
 
-    A distance solve evaluates the metric through ``_table`` and ``_balls``.
-    Their ``xs`` and ``ys`` are the values of two ``make_step`` functions of
-    one value space, and ``dim`` is that space's dimension, or None for
-    labels.  Their results are bit-identical to ``__call__``.  Both are built
-    from ``_coords`` for an interval metric, max_k |a[k] - b[k]| over some k.
+    A distance solve evaluates the metric through ``_piece_values``, and
+    ``_coords`` is its only hook into a kind.
     """
 
     def __call__(self, a: Value, b: Value) -> float:
         raise NotImplementedError
 
-    def _table(self, xs, ys, dim):
-        """``rows`` with ``rows(i, lo, hi) == [self(xs[i], y) for y in
-        ys[lo:hi]]``."""
-        ks = self._coords(dim)
-        if ks is None:
-            return _pairwise_table(self, xs, ys)
+    def _coords(self, dim):
+        """The 0-based k with self(a, b) = max_k |a[k] - b[k]| on vectors of
+        dimension dim, or None."""
+        return None
 
-        def rows(i, lo, hi):
+
+def _piece_values(d, xs, ys, dim):
+    """``(dist, matches)``, the one evaluator of d in a distance solve.
+
+    ``xs`` and ``ys`` are the values of two ``make_step`` functions of one
+    space of dimension ``dim``, None for labels.  ``dist(i, lo, hi)`` is
+    ``[d(xs[i], y) for y in ys[lo:hi + 1]]`` bit for bit, raising what the
+    first bad pair raises, and ``matches(i, lo, hi, eps)`` is the bitset of
+    the j = lo..hi with ``d(xs[i], ys[j]) <= eps``.  An interval metric
+    (``_coords``) folds abs(a[k] - b[k]) over its k, and its bitsets come from
+    ``_ball_masks``; ``Euclidean`` gets ``math.dist`` batches, and any other d
+    goes pair by pair.  A row grows at either end as windows reach past it,
+    so each pair is evaluated once; the windows of a row must share a
+    y-piece, as a solve's bands of row i share its band at eps = 0.
+    """
+    ks = d._coords(dim) if isinstance(d, Pseudometric) else None
+    if ks is not None:
+
+        def fresh(i, lo, hi):
             a, part, out = xs[i], ys[lo:hi], None
             for k in ks:
                 ak = a[k]
@@ -59,34 +75,55 @@ class Pseudometric:
                 out = col if out is None else list(map(max, out, col))
             return out
 
-        return rows
+    elif isinstance(d, Euclidean) and dim is not None:
 
-    def _balls(self, xs, ys, dim):
-        """``mask`` with ``mask(i, eps)`` the int bitset of the j with
-        ``self(xs[i], ys[j]) <= eps``, or None when the metric has no such
-        structure on this space."""
-        ks = self._coords(dim)
-        return None if ks is None else _sorted_balls(xs, ys, ks)
+        def fresh(i, lo, hi):
+            return list(map(math.dist, repeat(xs[i]), ys[lo:hi]))
 
-    def _coords(self, dim):
-        """The 0-based k with self(a, b) = max_k |a[k] - b[k]| on vectors of
-        dimension dim, or None."""
-        return None
+    else:
+
+        def fresh(i, lo, hi):
+            a = xs[i]
+            return [d(a, b) for b in ys[lo:hi]]
+
+    # rows[i][k] = d(xs[i], ys[starts[i] + k])
+    rows, starts = [[] for _ in xs], [0] * len(xs)
+
+    def dist(i, lo, hi):
+        row, start = rows[i], starts[i]
+        if not row:
+            start = starts[i] = lo
+        end = start + len(row)
+        if lo < start:
+            row[:0] = fresh(i, lo, start)
+            start = starts[i] = lo
+        if hi >= end:
+            row.extend(fresh(i, end, hi + 1))
+        return row[lo - start : hi - start + 1]
+
+    if ks is not None:
+        mask = _ball_masks(xs, ys, ks)
+
+        def matches(i, lo, hi, eps):
+            return mask(i, eps) & (2 << hi) - (1 << lo)
+
+    else:
+
+        def matches(i, lo, hi, eps):
+            dists = dist(i, lo, hi)[::-1]
+            try:
+                flags = bytes(map(operator.le, dists, repeat(eps)))
+            except TypeError:  # a comparison that gives no bool, e.g. numpy's
+                flags = bytes(map(bool, map(operator.le, dists, repeat(eps))))
+            return int(flags.translate(_BINARY_DIGITS), 2) << lo
+
+    return dist, matches
 
 
-def _pairwise_table(d, xs, ys):
-    """``_table`` of any callable d: one call of d per pair."""
-
-    def rows(i, lo, hi):
-        a = xs[i]
-        return [d(a, b) for b in ys[lo:hi]]
-
-    return rows
-
-
-def _sorted_balls(xs, ys, ks):
-    """``_balls`` of the maximum over k in ks of abs(a[k] - b[k]), for
-    vectors of finite floats.
+def _ball_masks(xs, ys, ks):
+    """``mask`` with ``mask(i, eps)`` the int bitset of the j with
+    ``max(abs(xs[i][k] - ys[j][k]) for k in ks) <= eps``, for vectors of
+    finite floats.
 
     Rounding is monotone, so fl(|a_k - v|) is monotone in v on each side of
     a_k, and the j with |a_k - ys[j][k]| <= eps are one run of ys sorted by
@@ -164,15 +201,6 @@ class Euclidean(Pseudometric):
         a, b = _vector_pair(a, b)
         return math.dist(a, b)
 
-    def _table(self, xs, ys, dim):
-        if dim is None:
-            return _pairwise_table(self, xs, ys)  # raises as the first bad pair does
-
-        def rows(i, lo, hi):
-            return list(map(math.dist, repeat(xs[i]), ys[lo:hi]))
-
-        return rows
-
     def _coords(self, dim):
         return [0] if dim == 1 else None  # math.dist of 1-vectors is abs(a - b)
 
@@ -228,7 +256,8 @@ class MaxOf(Pseudometric):
     def _coords(self, dim):
         out = []
         for p in self.parts:
-            ks = p._coords(dim)
+            # a plain callable part has no coords
+            ks = p._coords(dim) if isinstance(p, Pseudometric) else None
             if ks is None:
                 return None
             out += ks

@@ -95,7 +95,7 @@ def test_certificate_check_unreadable_certificate(tmp_path, traces, capsys):
     assert main(["certificate-check", traces["x"], traces["y"], str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"parse error: {missing}: ")
+    assert captured.err == f"parse error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 def test_distance_with_family_and_index(tmp_path):
@@ -139,11 +139,21 @@ def test_distance_rejects_a_bad_family_index(index, tmp_path, traces, capsys):
     assert captured.err.startswith(f"parse error: bad index {index!r}: ")
 
 
+# The message names the path as given: Path("") would be "."
 def test_distance_rejects_an_empty_family_path(traces, capsys):
     assert main(["distance", traces["x"], traces["y"], "--family", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("parse error: bad family config: ")
+    assert captured.err == (
+        "parse error: bad family config: [Errno 2] No such file or directory: ''\n"
+    )
+
+
+def test_distance_rejects_an_empty_trace_path(traces, capsys):
+    assert main(["distance", "", traces["y"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_distance_named_metrics_without_family(traces, capsys):

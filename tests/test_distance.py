@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from skorodist import distance
 from skorodist.cadlag import ValueSpaceMismatch, compose_time_change, make_step
 from skorodist.distance import (
     CertificateError,
@@ -26,9 +27,11 @@ from skorodist.distance import (
     uniform_distance,
 )
 from skorodist.pseudometric import (
+    Coordinate,
     Discrete,
     Euclidean,
     MaxOf,
+    PseudometricFamily,
     Scaled,
     coordinate_family,
 )
@@ -143,8 +146,10 @@ class _FullTable(_BandedDP):
 
     __slots__ = ()
 
-    def matches(self, i, lo, hi, eps):
-        return super().matches(i, 0, len(self.b), eps)
+    def __init__(self, x, y, d):
+        super().__init__(x, y, d)
+        matches, p = self.matches, len(self.b)
+        self.matches = lambda i, lo, hi, eps: matches(i, 0, p, eps)
 
 
 def test_band_leaves_feasibility_and_path_unchanged():
@@ -403,24 +408,47 @@ def test_mask_metrics_solve_as_the_table_does():
         assert (got.time_sup, got.value_sup) == (want.time_sup, want.value_sup)
 
 
+def _half_dist(a, b):
+    return 0.5 * math.dist(a, b)
+
+
+def test_a_plain_callable_part_solves_as_the_plain_maximum():
+    # A part that is not a Pseudometric has no coords, so the maximum is
+    # evaluated pair by pair, as the one plain callable that computes it.
+    def plain(a, b):
+        return max(_half_dist(a, b), abs(a[0] - b[0]))
+
+    rng = random.Random(22)
+    for d in (
+        MaxOf((_half_dist, Coordinate(1))),
+        PseudometricFamily((_half_dist, Coordinate(1))).metric({1, 2}),
+    ):
+        for _ in range(10):
+            x = random_step_function(rng, 6, unit_square_value)
+            y = random_step_function(rng, 6, unit_square_value)
+            got, want = skorohod_distance(x, y, d), skorohod_distance(x, y, plain)
+            assert got.value.hex() == want.value.hex()
+            assert got.certificate == want.certificate
+            assert check_certificate(x, y, d, got.value, got.certificate)[0]
+
+
 @pytest.mark.parametrize("d", [MAXC, ABS], ids=["max-coordinate", "euclidean-1d"])
 def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
     # Without masks, the probe at L would evaluate the band's piece
     # distances, nearly all m * p of them at this L.
     cells = []
-    kind = type(d)
-    table = kind._table  # the table of a solve
+    evaluator = distance._piece_values
 
-    def counting(self, xs, ys, dim):
-        rows = table(self, xs, ys, dim)
+    def counting(*args):
+        dist, matches = evaluator(*args)
 
         def counted(i, lo, hi):
-            cells.append(hi - lo)
-            return rows(i, lo, hi)
+            cells.append(hi - lo + 1)
+            return dist(i, lo, hi)
 
-        return counted
+        return counted, matches
 
-    monkeypatch.setattr(kind, "_table", counting)
+    monkeypatch.setattr(distance, "_piece_values", counting)
     rng = random.Random(3)
     x, _ = _mask_pair(rng, 64, d is MAXC)
     # y differs from x only on its first piece, by about 0.9, which binds

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,11 +14,10 @@ from skorodist.pseudometric import (
     Discrete,
     Euclidean,
     MaxOf,
-    Pseudometric,
     PseudometricFamily,
     PulledBack,
     Scaled,
-    _pairwise_table,
+    _piece_values,
     check_axioms,
     coordinate_family,
     family_from_config,
@@ -255,13 +255,14 @@ _ROW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, data
 
 
 def _dim(value):
-    """The dim a solve passes to ``_table`` and ``_balls`` for this value."""
+    """The dim a solve passes to ``_piece_values`` for this value."""
     return None if isinstance(value, str) else len(value)
 
 
 def _row(d, a, bs):
-    """d at (a, b) for every b in bs, as one row of ``d._table``."""
-    return d._table((a,), bs, _dim(a))(0, 0, len(bs))
+    """d at (a, b) for every b in bs, as one row of ``_piece_values``."""
+    dist, _ = _piece_values(d, (a,), bs, _dim(a))
+    return dist(0, 0, len(bs) - 1)
 
 
 def _bits(values):
@@ -349,70 +350,25 @@ def _plain(a, b):
     return 0.5 * Euclidean()(a, b)
 
 
-def _table(d, xs, ys):
-    """The rows a distance solve evaluates d with."""
-    if isinstance(d, Pseudometric):
-        return d._table(xs, ys, _dim(xs[0]))
-    return _pairwise_table(d, xs, ys)
-
-
-@st.composite
-def _windows(draw, n, p):
-    """Up to 8 windows (i, lo, hi) with i < n and lo <= hi <= p."""
-    out = []
-    for _ in range(draw(st.integers(1, 8))):
-        lo, hi = sorted(draw(st.tuples(st.integers(0, p), st.integers(0, p))))
-        out.append((draw(st.integers(0, n - 1)), lo, hi))
-    return out
-
-
-@_ROW_SETTINGS
-@given(
-    d=st.one_of(_metrics(_KEEP_SPACE), st.just(_plain)),
-    xs=st.lists(_vector, min_size=1, max_size=6),
-    ys=st.lists(_vector, max_size=12),
-    data=st.data(),
-)
-def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
-    rows = _table(d, xs, ys)
-    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
-        assert _bits(rows(i, lo, hi)) == _bits([d(xs[i], y) for y in ys[lo:hi]])
-
-
-@_ROW_SETTINGS
-@given(
-    d=st.one_of(_any_metric, st.just(_plain)),
-    space=st.sampled_from(_SPACES),
-    data=st.data(),
-)
-def test_table_fails_where_and_as_pairwise_calls_fail(d, space, data):
-    xs = data.draw(st.lists(space, min_size=1, max_size=6))
-    ys = data.draw(st.lists(space, max_size=10))
-    rows = _table(d, xs, ys)
-    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
-        want = _outcome(lambda: [d(xs[i], y) for y in ys[lo:hi]])
-        assert _outcome(lambda: rows(i, lo, hi)) == want
-
-
 def test_table_edge_cases():
     # no pair in a window, no check: as the pairwise loop
-    assert Euclidean()._table(["idle"], ["busy"], None)(0, 1, 1) == []
-    assert Coordinate(3)._table([(0.0, 1.0)], [], 2)(0, 0, 0) == []
-    rows = MaxOf((Coordinate(1), Coordinate(2)))._table(
-        [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)], 2
+    assert _piece_values(Euclidean(), ["idle"], ["busy"], None)[0](0, 1, 0) == []
+    assert _piece_values(Coordinate(3), [(0.0, 1.0)], [], 2)[0](0, 0, -1) == []
+    dist, _ = _piece_values(
+        MaxOf((Coordinate(1), Coordinate(2))),
+        [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)], 2,
     )
-    assert rows(0, 0, 3) == [5.0, 1.0, 0.5]
-    assert rows(1, 1, 3) == [2.0, 2.5]
+    assert dist(0, 0, 2) == [5.0, 1.0, 0.5]
+    assert dist(1, 1, 2) == [2.0, 2.5]
     # a value that a user map rejects fails only in its own row
-    rows = MaxOf((Coordinate(1), PulledBack(_FailsBelowZero(1), Euclidean())))._table(
-        [(0.0,), (-1.0,)], [(3.0,), (4.0,)], 1
+    dist, _ = _piece_values(
+        MaxOf((Coordinate(1), PulledBack(_FailsBelowZero(1), Euclidean()))),
+        [(0.0,), (-1.0,)], [(3.0,), (4.0,)], 1,
     )
-    assert rows(0, 0, 2) == [3.0, 4.0]
+    assert dist(0, 0, 1) == [3.0, 4.0]
     with pytest.raises(ValueSpaceMismatch, match="negative"):
-        rows(1, 1, 2)
+        dist(1, 1, 1)
 
-
-# --- value-sorted ball masks -------------------------------------------------
 
 # Ties, differences that overflow to inf, the least subnormal, and adjacent
 # floats (an ulp is 2 at 1e16), where a - eps and a + eps round.
@@ -421,51 +377,59 @@ _EDGE = [
     -5e-324, 1e16, 1e16 + 2, 1e16 + 4, 3.0, 2.9999999999999996,
 ]
 _edge = st.one_of(st.sampled_from(_EDGE), st.floats(allow_nan=False, allow_infinity=False))
-_MASKED = [
+# Interval metrics, which get ball masks on the vectors they fit
+_INTERVAL = [
     Coordinate(1),
     Coordinate(2),
+    Euclidean(),
     MaxOf((Coordinate(1), Coordinate(2))),
     MaxOf((Coordinate(2), Coordinate(2), Coordinate(1))),
     MaxOf((MaxOf((Coordinate(2),)), Coordinate(1))),
+    MaxOf((Euclidean(), Coordinate(1))),
 ]
+_EVERY_KIND = st.one_of(
+    st.sampled_from([*_INTERVAL, _plain, MaxOf((_plain, Coordinate(1)))]),
+    _any_metric,
+    st.lists(st.sampled_from(_PARTS), min_size=1, max_size=3).map(lambda ps: MaxOf(tuple(ps))),
+)
+_EDGE_SPACES = [st.tuples(*[_edge] * dim) for dim in (1, 2, 3)] + _SPACES[-1:]
 
 
-def _direct_mask(d, a, ys, eps):
-    return sum(1 << j for j, b in enumerate(ys) if d(a, b) <= eps)
+def _direct_mask(d, a, ys, lo, hi, eps):
+    return sum(1 << j for j in range(lo, hi + 1) if d(a, ys[j]) <= eps)
 
 
-def _check_masks(d, xs, ys, extra_eps):
-    mask = d._balls(xs, ys, _dim(xs[0]))
-    assert mask is not None
-    for i, a in enumerate(xs):
-        eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, *extra_eps}
-        for b in ys:
-            v = d(a, b)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(d=_EVERY_KIND, space=st.sampled_from(_EDGE_SPACES), data=st.data())
+def test_piece_values_are_the_pairwise_evaluation(d, space, data):
+    xs = data.draw(st.lists(space, min_size=1, max_size=6))
+    ys = data.draw(st.lists(space, min_size=1, max_size=10))
+    dist, matches = _piece_values(d, xs, ys, _dim(xs[0]))
+    extra_eps = data.draw(st.floats(0.0, 2.0))
+
+    def check(i, lo, hi):
+        a, part = xs[i], ys[lo : hi + 1]
+        want = _outcome(lambda: [d(a, b) for b in part])
+        assert _outcome(lambda: dist(i, lo, hi)) == want
+        if isinstance(want, str):  # raises
+            assert _outcome(lambda: [matches(i, lo, hi, 0.0)]) == want
+            return
+        eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, extra_eps}
+        for v in map(d, repeat(a), part):
             eps_values.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
         for eps in eps_values:
-            assert mask(i, eps) == _direct_mask(d, a, ys, eps), (i, eps)
+            assert matches(i, lo, hi, eps) == _direct_mask(d, a, ys, lo, hi, eps), (i, eps)
 
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    d=st.sampled_from(_MASKED),
-    xs=st.lists(st.tuples(_edge, _edge), min_size=1, max_size=6),
-    ys=st.lists(st.tuples(_edge, _edge), max_size=10),
-    eps=st.floats(0.0, 2.0),
-)
-def test_ball_masks_are_the_direct_comparison(d, xs, ys, eps):
-    _check_masks(d, xs, ys, [eps])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    d=st.sampled_from([Euclidean(), Coordinate(1), MaxOf((Euclidean(), Coordinate(1)))]),
-    xs=st.lists(_edge.map(lambda v: (v,)), min_size=1, max_size=6),
-    ys=st.lists(_edge.map(lambda v: (v,)), max_size=10),
-    eps=st.floats(0.0, 2.0),
-)
-def test_ball_masks_on_scalars(d, xs, ys, eps):
-    _check_masks(d, xs, ys, [eps])
+    # Windows in a random order, so that a row's cache grows at both ends.
+    # The windows of one row share a y-piece, as a solve's bands of the row
+    # share the band at eps = 0.
+    core, p = {}, len(ys)
+    for _ in range(data.draw(st.integers(1, 8))):
+        i = data.draw(st.integers(0, len(xs) - 1))
+        c = core.setdefault(i, data.draw(st.integers(0, p - 1)))
+        check(i, data.draw(st.integers(0, c)), data.draw(st.integers(c, p - 1)))
+    for i in range(len(xs)):
+        check(i, 0, p - 1)
 
 
 @pytest.mark.parametrize(
@@ -486,22 +450,21 @@ def test_ball_masks_on_scalars(d, xs, ys, eps):
 )
 def test_bad_values_give_no_masks_and_the_table_raises(d, xs, ys):
     dim = _dim(xs[0])
-    assert d._balls(xs, ys, dim) is None
-    rows = d._table(xs, ys, dim)
+    assert d._coords(dim) is None
+    dist, matches = _piece_values(d, xs, ys, dim)
     for i, a in enumerate(xs):
         want = _outcome(lambda: [d(a, b) for b in ys])
         assert want.startswith("raises ")
-        assert _outcome(lambda: rows(i, 0, len(ys))) == want
+        assert _outcome(lambda: dist(i, 0, len(ys) - 1)) == want
+        assert _outcome(lambda: [matches(i, 0, len(ys) - 1, 1.0)]) == want
 
 
 def test_kinds_without_masks():
-    vectors = [(0.0, 1.0)], [(1.0, 1.0)]
-    scalars = [(0.0,)], [(1.0,)]
-    for d, (xs, ys) in (
-        (Euclidean(), vectors),  # multi-D
-        (Discrete(), scalars),
-        (Scaled(2.0, Coordinate(1)), scalars),
-        (PulledBack(Identity(), Coordinate(1)), scalars),
-        (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), vectors),
+    for d, dim in (
+        (Euclidean(), 2),
+        (Discrete(), 1),
+        (Scaled(2.0, Coordinate(1)), 1),
+        (PulledBack(Identity(), Coordinate(1)), 1),
+        (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), 2),
     ):
-        assert d._balls(xs, ys, _dim(xs[0])) is None, d
+        assert d._coords(dim) is None, d
