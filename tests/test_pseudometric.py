@@ -370,6 +370,46 @@ def test_table_edge_cases():
         dist(1, 1, 1)
 
 
+@st.composite
+def _windows(draw, n, p):
+    """Up to 8 windows (i, lo, hi) with i < n and lo <= hi < p; the windows
+    of one row share a y-piece, as a solve's bands of the row do."""
+    core, out = {}, []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, n - 1))
+        c = core.setdefault(i, draw(st.integers(0, p - 1)))
+        out.append((i, draw(st.integers(0, c)), draw(st.integers(c, p - 1))))
+    return out
+
+
+@_ROW_SETTINGS
+@given(
+    d=st.one_of(_metrics(_KEEP_SPACE), st.just(_plain)),
+    xs=st.lists(_vector, min_size=1, max_size=6),
+    ys=st.lists(_vector, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
+    dist, _ = _piece_values(d, xs, ys, DIM)
+    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
+        assert _bits(dist(i, lo, hi)) == _bits([d(xs[i], y) for y in ys[lo : hi + 1]])
+
+
+@_ROW_SETTINGS
+@given(
+    d=st.one_of(_any_metric, st.just(_plain)),
+    space=st.sampled_from(_SPACES),
+    data=st.data(),
+)
+def test_table_fails_where_and_as_pairwise_calls_fail(d, space, data):
+    xs = data.draw(st.lists(space, min_size=1, max_size=6))
+    ys = data.draw(st.lists(space, min_size=1, max_size=10))
+    dist, _ = _piece_values(d, xs, ys, _dim(xs[0]))
+    for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
+        want = _outcome(lambda: [d(xs[i], y) for y in ys[lo : hi + 1]])
+        assert _outcome(lambda: dist(i, lo, hi)) == want
+
+
 # Ties, differences that overflow to inf, the least subnormal, and adjacent
 # floats (an ulp is 2 at 1e16), where a - eps and a + eps round.
 _EDGE = [
@@ -397,6 +437,43 @@ _EDGE_SPACES = [st.tuples(*[_edge] * dim) for dim in (1, 2, 3)] + _SPACES[-1:]
 
 def _direct_mask(d, a, ys, lo, hi, eps):
     return sum(1 << j for j in range(lo, hi + 1) if d(a, ys[j]) <= eps)
+
+
+def _check_masks(d, xs, ys, extra_eps):
+    """``matches`` over each full row is the direct comparison at the edge
+    eps values, for an interval metric on the vectors it fits."""
+    assert d._coords(_dim(xs[0])) is not None
+    _, matches = _piece_values(d, xs, ys, _dim(xs[0]))
+    hi = len(ys) - 1
+    for i, a in enumerate(xs):
+        eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, *extra_eps}
+        for b in ys:
+            v = d(a, b)
+            eps_values.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+        for eps in eps_values:
+            assert matches(i, 0, hi, eps) == _direct_mask(d, a, ys, 0, hi, eps), (i, eps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([d for d in _INTERVAL if d._coords(2) is not None]),
+    xs=st.lists(st.tuples(_edge, _edge), min_size=1, max_size=6),
+    ys=st.lists(st.tuples(_edge, _edge), min_size=1, max_size=10),
+    eps=st.floats(0.0, 2.0),
+)
+def test_ball_masks_are_the_direct_comparison(d, xs, ys, eps):
+    _check_masks(d, xs, ys, [eps])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([Euclidean(), Coordinate(1), MaxOf((Euclidean(), Coordinate(1)))]),
+    xs=st.lists(_edge.map(lambda v: (v,)), min_size=1, max_size=6),
+    ys=st.lists(_edge.map(lambda v: (v,)), min_size=1, max_size=10),
+    eps=st.floats(0.0, 2.0),
+)
+def test_ball_masks_on_scalars(d, xs, ys, eps):
+    _check_masks(d, xs, ys, [eps])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
