@@ -1,4 +1,4 @@
-"""Step functions on [0, 1]: construction, evaluation, and the split-interval view.
+"""Step functions on [0, 1]: construction, evaluation and left limits.
 
 A step function is stored as jump times ``t_0 = 0 < t_1 < ... < t_{n-1} < 1``
 together with one value per piece: piece ``k`` holds ``values[k]`` on
@@ -12,9 +12,10 @@ from a finite alphabet (strings); a single function never mixes the two.
 Scalars are stored as 1-vectors.
 
 The split interval consists of the symbols ``t+`` (``t`` in [0, 1]) and ``t-``
-(``t`` in (0, 1]); there is no ``0-``.  A step function extends to it by
-evaluating ``t+`` right-continuously and ``t-`` as the left limit, with the
-convention that the left limit at 0 is the value at 0.
+(``t`` in (0, 1]); there is no ``0-``.  A step function ``f`` extends to it
+continuously by ``t+`` -> ``f(t)`` and ``t-`` -> ``f.left_limit(t)``.  At
+``t = 0``, outside the split interval, ``left_limit`` applies the convention
+f(0-) = f(0).
 """
 
 from __future__ import annotations
@@ -75,37 +76,6 @@ def require_same_space(a: Value, b: Value) -> None:
 
 
 @dataclass(frozen=True)
-class SplitPoint:
-    """A point ``t+`` or ``t-`` of the split interval.
-
-    ``0-`` is not a split-interval point, so ``side == "-"`` requires
-    ``t > 0``; the left limit at 0 is still reachable through
-    :meth:`StepFunction.left_limit`, which applies the convention
-    ``f(0-) = f(0)``.
-    """
-
-    t: float
-    side: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        if self.side not in ("+", "-"):
-            raise ValueError(f"side must be '+' or '-', got {self.side!r}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"split point time {self.t} outside [0, 1]")
-        if self.side == "-" and self.t == 0.0:
-            raise ValueError("0- is not a split-interval point")
-
-
-def plus(t: float) -> SplitPoint:
-    return SplitPoint(t, "+")
-
-
-def minus(t: float) -> SplitPoint:
-    return SplitPoint(t, "-")
-
-
-@dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant cadlag function on [0, 1].
 
@@ -140,12 +110,6 @@ class StepFunction:
         if k >= 1 and self.times[k] == t:
             return self.values[k - 1]
         return self.values[k]
-
-    def at_split(self, p: SplitPoint) -> Value:
-        """Evaluate the continuous split-interval extension at ``t+`` / ``t-``."""
-        if p.side == "+":
-            return self(p.t)
-        return self.left_limit(p.t)
 
     def range_closure(self) -> set:
         """All values attained on the split interval.
@@ -214,7 +178,11 @@ def compose_time_change(f: StepFunction, lam: "TimeChange") -> StepFunction:
     return StepFunction(tuple(new_times), f.values)
 
 
-def step_from_json_obj(obj) -> StepFunction:
+def step_from_json(text: str) -> StepFunction:
+    """Parse the JSON form ``{"times": [...], "values": [...]}``, read by
+    :func:`strict_json`.  Values must be arrays (vectors) or strings (labels).
+    """
+    obj = strict_json(text, TraceParseError)
     if not isinstance(obj, dict) or "times" not in obj or "values" not in obj:
         raise TraceParseError('expected an object with "times" and "values"')
     times, values = obj["times"], obj["values"]
@@ -229,13 +197,6 @@ def step_from_json_obj(obj) -> StepFunction:
         raise
     except ValueError as exc:
         raise TraceParseError(str(exc)) from exc
-
-
-def step_from_json(text: str) -> StepFunction:
-    """Parse the JSON form ``{"times": [...], "values": [...]}``, read by
-    :func:`strict_json`.  Values must be arrays (vectors) or strings (labels).
-    """
-    return step_from_json_obj(strict_json(text, TraceParseError))
 
 
 def strict_json(text: str, error: type[Exception]):

@@ -7,10 +7,12 @@ suites), and ``example-k`` (the K-topology demonstration report).
 
 All I/O is JSON; output is byte-identical for identical inputs and seed.
 Exit codes: 0 success, 1 check/suite failure, 2 parse error (NaN, Infinity
-and numbers beyond the float range included) or rejected input (a non-finite
-distance, or a trace, family config or metric nested deeper than the
-interpreter's recursion limit), 3 value-space mismatch, 4 invalid
-certificate (NaN, Infinity and out-of-range numbers in it included).
+and numbers beyond the float range included, and an input file that is
+missing or not UTF-8), rejected input (a non-finite distance, or a trace,
+family config or metric nested deeper than the interpreter's recursion
+limit) or an ``--out`` path that cannot be written, 3 value-space mismatch,
+4 invalid certificate (NaN, Infinity and out-of-range numbers in it
+included).
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def _read(path):
             return f.read()
     except OSError as exc:
         raise TraceParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path!r} is not UTF-8: {exc}") from exc
 
 
 def _resolve_metric(args, x):
@@ -208,6 +212,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         sys.stderr.write(f"invalid certificate: {exc}\n")
         return EXIT_CERT
+    except OSError as exc:  # _read reports its own; this is a failed write
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

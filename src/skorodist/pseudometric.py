@@ -286,26 +286,11 @@ def metric_from_config(obj: dict) -> Pseudometric:
     raise ValueError(f"unknown pseudometric kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    kind: str  # "identity" | "negativity" | "symmetry" | "triangle"
-    points: tuple
-    detail: float
-
-
-@dataclass
-class AxiomReport:
-    checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_axioms(d, samples) -> AxiomReport:
+def check_axioms(d, samples) -> list:
     """Check d(a, a) = 0, nonnegativity, symmetry, and the triangle inequality
-    on explicit sample triples.
+    on explicit sample triples.  Returns the violations as ``(kind, points,
+    detail)`` tuples, kind one of "identity", "negativity", "symmetry" and
+    "triangle"; an empty list means d passed.
 
     Identity, nonnegativity and symmetry are exact; the triangle inequality
     allows a roundoff guard of 1e-12, far below any distance scale used here.
@@ -315,18 +300,18 @@ def check_axioms(d, samples) -> AxiomReport:
         for point in (a, b, c):
             v = d(point, point)
             if v != 0.0:
-                violations.append(AxiomViolation("identity", (point,), v))
+                violations.append(("identity", (point,), v))
         for u, w in ((a, b), (a, c), (b, c)):
             duw = d(u, w)
             dwu = d(w, u)
             if duw < 0.0 or dwu < 0.0:
-                violations.append(AxiomViolation("negativity", (u, w), min(duw, dwu)))
+                violations.append(("negativity", (u, w), min(duw, dwu)))
             if duw != dwu:
-                violations.append(AxiomViolation("symmetry", (u, w), abs(duw - dwu)))
+                violations.append(("symmetry", (u, w), abs(duw - dwu)))
         excess = d(a, c) - (d(a, b) + d(b, c))
         if excess > 1e-12:
-            violations.append(AxiomViolation("triangle", (a, b, c), excess))
-    return AxiomReport(len(samples), violations)
+            violations.append(("triangle", (a, b, c), excess))
+    return violations
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,7 @@ def run_axioms(seed: int = 0, trials: int = 200) -> dict:
         for _ in range(100)
     ]
     for metric in (Euclidean(), Discrete(), MAXCOORD_2D):
-        report = check_axioms(metric, value_triples)
-        if not report.ok:
+        if check_axioms(metric, value_triples):
             failures.append({"kind": "value_metric", "metric": str(metric)})
     return {
         "name": "axioms",

@@ -163,30 +163,19 @@ def uniform_modulus(
     d_index = family.metric(idx)
     if labels:
         # exact: the balls are sets of label points of K
-        delta = eps / 2.0
-        for z in points:
-            dz = eps / 2.0
-            for _ in range(_MAX_DEPTH):
-                hits = [y for y in points if d_index(z, y) < 2.0 * dz]
-                if all(rho(z, y) < eps / 2.0 for y in hits):
-                    break
-                dz /= 2.0
-            else:
-                raise _no_radius(dz, z)
-            delta = min(delta, dz)
-        return Modulus(idx, delta)
+        def ball_ok(z, dz):
+            hits = [y for y in points if d_index(z, y) < 2.0 * dz]
+            return all(rho(z, y) < eps / 2.0 for y in hits)
+
+        return Modulus(idx, min(_radius(eps, z, ball_ok) for z in points))
     lip = _lipschitz(rho, d_index, dim)
     if lip is None:
         raise ModulusValidationError(
             f"no structural rule bounds rho = {rho!r} by the family metric "
             f"{d_index!r} on {dim}-dimensional vectors"
         )
-    dz = eps / 2.0
-    for _ in range(_MAX_DEPTH):
-        if 2.0 * lip * dz <= eps / 2.0:
-            return _in_space(family, points, rho, Modulus(idx, dz))
-        dz /= 2.0
-    raise _no_radius(dz, points[0])
+    dz = _radius(eps, points[0], lambda z, dz: 2.0 * lip * dz <= eps / 2.0)
+    return _in_space(family, points, rho, Modulus(idx, dz))
 
 
 def _index_of(family, rho):
@@ -207,8 +196,15 @@ def _index_of(family, rho):
     return None if None in chosen else frozenset(chosen)
 
 
-def _no_radius(dz, z):
-    return ModulusValidationError(
+def _radius(eps, z, ok):
+    """The first of eps/2, eps/4, ..., eps/2**_MAX_DEPTH at which ``ok(z,
+    radius)`` holds; raises ModulusValidationError naming z when none does."""
+    dz = eps / 2.0
+    for _ in range(_MAX_DEPTH):
+        if ok(z, dz):
+            return dz
+        dz /= 2.0
+    raise ModulusValidationError(
         f"no radius down to {dz} validated around {z!r}; "
         "rho is not controlled by the family there"
     )

@@ -185,7 +185,7 @@ def test_criterion_8_time_change_bound(c1_results):
         warped = compose_time_change(x, lam)
         assert skorohod_distance(warped, x, d).value <= lam.warp_deviation() + TOL
     for x, y, d, res in c1_results:
-        assert res.value <= uniform_distance(x, y, d) + TOL
+        assert res.value <= uniform_distance(x, y, d)
     print("\n[acceptance] criterion 8 (time-change bound + uniform bound): PASS")
 
 

@@ -9,15 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorodist.cadlag import (
-    SplitPoint,
     StepFunction,
     TraceParseError,
     ValueSpaceMismatch,
     coerce_value,
     compose_time_change,
     make_step,
-    minus,
-    plus,
     step_from_json,
 )
 from skorodist.distance import (
@@ -83,27 +80,10 @@ def test_left_limit():
     assert IND_HALF.left_limit(0.5) == (0.0,)
     assert IND_HALF.left_limit(0.0) == (0.0,)  # convention f(0-) = f(0)
     assert IND_HALF.left_limit(0.7) == (1.0,)
+    assert IND_HALF.left_limit(1.0) == (1.0,)
     assert CONST5.left_limit(1.0) == (5.0,)
-
-
-def test_split_points():
-    assert IND_HALF.at_split(minus(0.5)) == (0.0,)
-    assert IND_HALF.at_split(plus(0.5)) == (1.0,)
-    assert IND_HALF.at_split(minus(1.0)) == (1.0,)
     with pytest.raises(ValueError):
-        minus(0.0)  # 0- is not a split-interval point
-    with pytest.raises(ValueError):
-        SplitPoint(1.2, "+")
-    with pytest.raises(ValueError):
-        SplitPoint(0.5, "?")
-
-
-def test_split_extension_agrees_with_eval_everywhere():
-    rng = random.Random(1)
-    for _ in range(25):
-        f = random_step_function(rng, 5, scalar_level_value)
-        for t in [0.0, 0.25, 0.5, 1.0, *f.times]:
-            assert f.at_split(plus(t)) == f(t)
+        IND_HALF.left_limit(1.2)
 
 
 def test_split_interval_sequential_continuity():
@@ -115,7 +95,7 @@ def test_split_interval_sequential_continuity():
         for t in [*f.times[1:], 0.35, 1.0]:
             below = [t - 2.0**-k for k in range(20, 40) if t - 2.0**-k > 0]
             tail = [f(s) for s in below[-5:]]
-            assert all(v == f.at_split(minus(t)) for v in tail)
+            assert all(v == f.left_limit(t) for v in tail)
             if t < 1.0:
                 above = [t + 2.0**-k for k in range(20, 40) if t + 2.0**-k < 1]
                 tail = [f(s) for s in above[-5:]]

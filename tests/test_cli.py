@@ -156,6 +156,40 @@ def test_distance_rejects_an_empty_trace_path(traces, capsys):
     assert captured.err == "parse error: [Errno 2] No such file or directory: ''\n"
 
 
+# A file of bytes that are not UTF-8 is a parse error, whichever input it is.
+@pytest.mark.parametrize("which", ["x", "y", "certificate"])
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(which, traces, tmp_path, capsys):
+    res = tmp_path / "res.json"
+    assert main(["distance", traces["x"], traces["y"], "--out", str(res)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    files = {"x": traces["x"], "y": traces["y"], "certificate": str(res), which: str(bad)}
+    argv = ["certificate-check", files["x"], files["y"], files["certificate"]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: {str(bad)!r} is not UTF-8: ")
+    assert captured.err.count("\n") == 1
+    if which != "certificate":
+        assert main(["distance", files["x"], files["y"]]) == 2
+
+
+# A passing suite too: the failed write decides the exit code.
+@pytest.mark.parametrize("command", ["distance", "suite"])
+def test_an_unwritable_out_path_exits_2(command, traces, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    argv = {
+        "distance": ["distance", traces["x"], traces["y"]],
+        "suite": ["suite", "axioms", "--trials", "2"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cannot write output: [Errno 2] No such file or directory: {str(out)!r}\n"
+    )
+
+
 def test_distance_named_metrics_without_family(traces, capsys):
     assert main(["distance", traces["x"], traces["y"], "--metric", "discrete"]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 0.6 - 0.5
