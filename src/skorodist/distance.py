@@ -27,17 +27,19 @@ at a piece distance or at the least float at or above a time threshold
 ``candidate_thresholds``, and the distance is its smallest feasible element:
 the least float at or above the infimum.  ``skorohod_distance`` finds that
 element without building the whole set: the value checks at t = 0 and t = 1
-bound it from below, a galloping search from there brackets it, and only the
-candidates inside the bracket are binary-searched: the window gaps there, and
-the piece distances of the band at the bracket's top.  Each probe
+bound it from below, a galloping search from there brackets it, bisection on
+floats narrows the bracket to the width of the gallop's first step, and only
+the candidates inside the bracket are binary-searched: the window gaps there,
+and the piece distances in it of the band at the bracket's top.  Each probe
 decides reachability, one integer bitset per row, on the band of piece pairs
 that can meet within eps, so its cost follows the band around the answer.
-A row's value check is the bitset of the y-pieces within eps of its x-piece.
-It and the piece distances of the thresholds come from
+A row's value check is the bitset of the y-pieces within eps of its x-piece,
+and a row's pairs in the bracket [lo, top] are those within top and not
+within the float under lo.  The bitsets and the piece distances come from
 ``pseudometric._piece_values``, the one place that evaluates d in a solve,
 and only for the pairs that some probe's band reaches.  Under an interval
-metric the bitset needs no piece distance, so a solve that its first probe
-settles evaluates only the two endpoint cells of L.
+metric the bitset needs no piece distance, so a solve evaluates d only on
+the two endpoint cells of L and on the pairs in its final bracket.
 A caller that needs only the verdict "distance <= eps" gets it from one probe
 (``_within``), with no search and no certificate, as the transfer checks do.
 Plain bisection down to adjacent floats (``bisect_distance``) is kept as a
@@ -223,20 +225,21 @@ class _BandedDP:
 
     Each probe computes the reachable states of the band at its eps, one
     bitset per row.  The one ``_piece_values`` of the solve gives a row's
-    value check, ``matches``, and the piece distances of ``thresholds`` and
-    ``largest_distance``, ``distances``.  Construction checks that x and y
-    share a value space, for every entry point that builds one, and hands
-    the evaluator that space without scanning the values: ``make_step`` has
-    checked them.
+    value check, ``matches``, which also picks the pairs of ``thresholds``,
+    their piece distances, ``value``, and the rows of ``largest_distance``
+    and of the endpoint cells, ``distances``.  Construction checks that x
+    and y share a value space, for every entry point that builds one, and
+    hands the evaluator that space without scanning the values:
+    ``make_step`` has checked them.
     """
 
-    __slots__ = ("xv", "distances", "matches", "a", "b", "one", "edges", "bs")
+    __slots__ = ("xv", "distances", "value", "matches", "a", "b", "one", "edges", "bs")
 
     def __init__(self, x: StepFunction, y: StepFunction, d):
         require_same_space(x.values[0], y.values[0])
         self.xv, yv = x.values, y.values
         dim = None if isinstance(yv[0], str) else len(yv[0])
-        self.distances, self.matches = _piece_values(d, self.xv, yv, dim)
+        self.distances, self.value, self.matches = _piece_values(d, self.xv, yv, dim)
         self.a, self.b = x.interior_jumps(), y.interior_jumps()
         ratios = [t.as_integer_ratio() for t in (*self.a, *self.b)]
         one = max([den for _, den in ratios], default=1)
@@ -314,16 +317,26 @@ class _BandedDP:
         """Sorted elements of ``candidate_thresholds`` in [lo, top], with the
         piece distances of the states in the band at eps = top only.  A state
         outside that band is on no path to (m, p) at any eps <= top, so its
-        value check cannot switch feasibility in [lo, top]."""
+        value check cannot switch feasibility in [lo, top].
+
+        A row's pairs with lo <= d <= top are the ones within top and not
+        within the float under lo: two ``matches`` bitsets, so d is
+        evaluated only on the pairs in the bracket."""
         out = {0.0} if lo <= 0.0 else set()
         b, bs, edges, scaled = self.b, self.bs, self.edges, self.scaled
+        value, matches = self.value, self.matches
         reach = scaled(top)
+        under = math.nextafter(lo, -math.inf)
         for i, jlo, jhi in self.band(reach):
-            out.update(v for v in self.distances(i, jlo, jhi) if lo <= v <= top)
+            bits = matches(i, jlo, jhi, top) & ~matches(i, jlo, jhi, under)
+            while bits:
+                low = bits & -bits
+                out.add(value(i, low.bit_length() - 1))
+                bits ^= low
         # The window gap g = |a_i - b_j| enters as the least float at or above
         # it, which is at most top iff g * S <= reach and at least lo iff g
-        # exceeds the float below lo, that is iff g * S > below.
-        below = scaled(math.nextafter(lo, -1.0)) if lo > 0.0 else -1
+        # exceeds the float under lo, that is iff g * S > below.
+        below = scaled(under) if lo > 0.0 else -1
         for ai, aa in zip(self.a, edges[1:]):
             for v in (ai, _up_gap(1.0, ai)):
                 if lo <= v <= top:
@@ -341,20 +354,23 @@ class _BandedDP:
 
         Every eps below L = max(d(x(0), y(0)), d(x(1), y(1))) fails the value
         check of state (0, 0) or (m, p).  Probe L, gallop upward by doubling
-        steps until a probe succeeds at some hi, then binary-search the
-        ``thresholds`` in [L, hi], or in (last failure, hi] once a probe has
-        failed: they hold every float in the bracket where feasibility can
-        switch, so the least feasible one is the distance.  Feasibility is
-        constant from the last of them up to hi, so hi joins them when they
-        end below it, and the search starts from its probe.  A bracket of one
-        float, such as L when its probe succeeds, is the distance itself.
-        From eps = 1 on every window is open and only piece distances can
-        bind, so the gallop jumps from there to the largest piece distance,
-        which is feasible.
+        steps until a probe succeeds at some hi, and keep lo at L, or at the
+        float above the last failure once a probe has failed.  Then bisect
+        [lo, hi] on floats until it is no wider than the gallop's first step,
+        and binary-search the ``thresholds`` in it: they hold every float in
+        the bracket where feasibility can switch, so the least feasible one
+        is the distance.  Feasibility is constant from the last of them up to
+        hi, so hi joins them when they end below it, and the search starts
+        from its probe.  A bracket of one float, such as L when its probe
+        succeeds, is the distance itself.  From eps = 1 on every window is
+        open and only piece distances can bind, so the gallop jumps from
+        there to the largest piece distance, which is feasible.  That bracket
+        is not bisected: it can span hundreds of binary exponents, and only
+        the piece distances above 1 lie in it.
         """
         m, p = len(self.a), len(self.b)
         lo = hi = max(self.distances(0, 0, 0)[0], self.distances(m, p, p)[0])
-        step = 1.0 / (m + p + 2)
+        width = step = 1.0 / (m + p + 2)
         while True:
             if not lo <= hi < math.inf:
                 raise NonFiniteDistance(f"value metric gave a non-finite distance ({hi})")
@@ -367,6 +383,14 @@ class _BandedDP:
             else:
                 hi = self.largest_distance()
 
+        # lo > 1 only after the jump, as lo = L > 1 would have jumped at once
+        while lo <= 1.0 and hi - lo > width:
+            mid = lo + 0.5 * (hi - lo)
+            probed = self.probe(mid)
+            if probed is None:
+                lo = math.nextafter(mid, math.inf)
+            else:
+                hi, at_hi = mid, probed
         if lo == hi:
             return hi + 0.0, at_hi  # -0.0 to 0.0, as thresholds() would give
         cands = self.thresholds(lo, hi)
@@ -477,10 +501,11 @@ def skorohod_distance(x: StepFunction, y: StepFunction, d) -> DistanceResult:
     """Exact Skorohod distance with a witnessing time change.
 
     The value is the smallest feasible candidate threshold.  The search
-    brackets it from L = max(d(x(0), y(0)), d(x(1), y(1))) upward and
-    binary-searches only the candidates inside the bracket, each probe
-    filling the banded feasibility DP.  The certificate's recomputed time and
-    value suprema satisfy ``max(time_sup, value_sup) <= value + CERT_TOL``.
+    brackets it from L = max(d(x(0), y(0)), d(x(1), y(1))) upward, narrows
+    the bracket by bisection and binary-searches only the candidates inside
+    it, each probe filling the banded feasibility DP.  The certificate's
+    recomputed time and value suprema satisfy
+    ``max(time_sup, value_sup) <= value + CERT_TOL``.
     """
     dp = _BandedDP(x, y, d)
     value, probed = dp.least_feasible()

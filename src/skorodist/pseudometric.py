@@ -50,41 +50,28 @@ class Pseudometric:
 
 
 def _piece_values(d, xs, ys, dim):
-    """``(dist, matches)``, the one evaluator of d in a distance solve.
+    """``(dist, value, matches)``, the one evaluator of d in a distance solve.
 
     ``xs`` and ``ys`` are the values of two ``make_step`` functions of one
     space of dimension ``dim``, None for labels.  ``dist(i, lo, hi)`` is
     ``[d(xs[i], y) for y in ys[lo:hi + 1]]`` bit for bit, raising what the
-    first bad pair raises, and ``matches(i, lo, hi, eps)`` is the bitset of
-    the j = lo..hi with ``d(xs[i], ys[j]) <= eps``.  An interval metric
-    (``_coords``) folds abs(a[k] - b[k]) over its k, and its bitsets come from
-    ``_ball_masks``; ``Euclidean`` gets ``math.dist`` batches, and any other d
-    goes pair by pair.  A row grows at either end as windows reach past it,
-    so each pair is evaluated once; the windows of a row must share a
-    y-piece, as a solve's bands of row i share its band at eps = 0.
+    first bad pair raises, ``value(i, j)`` is ``d(xs[i], ys[j])``, and
+    ``matches(i, lo, hi, eps)`` is the bitset of the j = lo..hi with
+    ``d(xs[i], ys[j]) <= eps``.  A row is batched where ``_rows`` can batch
+    it, and goes pair by pair otherwise.  It grows at either end as windows
+    reach past it, so each pair is evaluated once; the windows of a row must
+    share a y-piece, as a solve's bands of row i share its band at eps = 0.
+    An interval metric (``_coords``) gets its bitsets from ``_ball_masks``,
+    and its ``value`` folds abs(a[k] - b[k]) over its k, reading no row.  Any
+    other d compares its rows with eps, and its ``value`` reads the row,
+    which the ``matches`` of a window around j has filled.
     """
     ks = d._coords(dim) if isinstance(d, Pseudometric) else None
-    if ks is not None:
+    fresh = _rows(d, dim, ks)
+    if fresh is None:
 
-        def fresh(i, lo, hi):
-            a, part, out = xs[i], ys[lo:hi], None
-            for k in ks:
-                ak = a[k]
-                col = [abs(ak - b[k]) for b in part]
-                # max(max(u, v), w) picks what max(u, v, w) picks
-                out = col if out is None else list(map(max, out, col))
-            return out
-
-    elif isinstance(d, Euclidean) and dim is not None:
-
-        def fresh(i, lo, hi):
-            return list(map(math.dist, repeat(xs[i]), ys[lo:hi]))
-
-    else:
-
-        def fresh(i, lo, hi):
-            a = xs[i]
-            return [d(a, b) for b in ys[lo:hi]]
+        def fresh(a, part):
+            return [d(a, b) for b in part]
 
     # rows[i][k] = d(xs[i], ys[starts[i] + k])
     rows, starts = [[] for _ in xs], [0] * len(xs)
@@ -95,19 +82,26 @@ def _piece_values(d, xs, ys, dim):
             start = starts[i] = lo
         end = start + len(row)
         if lo < start:
-            row[:0] = fresh(i, lo, start)
+            row[:0] = fresh(xs[i], ys[lo:start])
             start = starts[i] = lo
         if hi >= end:
-            row.extend(fresh(i, end, hi + 1))
+            row.extend(fresh(xs[i], ys[end : hi + 1]))
         return row[lo - start : hi - start + 1]
 
     if ks is not None:
         mask = _ball_masks(xs, ys, ks)
 
+        def value(i, j):
+            a, b = xs[i], ys[j]
+            return max([abs(a[k] - b[k]) for k in ks])
+
         def matches(i, lo, hi, eps):
             return mask(i, eps) & (2 << hi) - (1 << lo)
 
     else:
+
+        def value(i, j):
+            return dist(i, j, j)[0]
 
         def matches(i, lo, hi, eps):
             dists = dist(i, lo, hi)[::-1]
@@ -117,7 +111,50 @@ def _piece_values(d, xs, ys, dim):
                 flags = bytes(map(bool, map(operator.le, dists, repeat(eps))))
             return int(flags.translate(_BINARY_DIGITS), 2) << lo
 
-    return dist, matches
+    return dist, value, matches
+
+
+def _rows(d, dim, ks):
+    """``fresh`` with ``fresh(a, part) == [d(a, b) for b in part]`` bit for
+    bit on values of dimension ``dim``, or None where d needs the pairwise
+    calls; ``ks`` is ``d._coords(dim)``.  An interval metric folds
+    abs(a[k] - b[k]) over its k, ``Euclidean`` makes ``math.dist`` batches,
+    and a ``MaxOf`` whose parts all batch folds their rows.  None of these
+    can fail on such values, and ``max(max(u, v), w)`` picks what
+    ``max(u, v, w)`` picks, so each fold is the pairwise maximum bit for
+    bit."""
+    if ks is not None:
+
+        def fresh(a, part):
+            out = None
+            for k in ks:
+                ak = a[k]
+                col = [abs(ak - b[k]) for b in part]
+                out = col if out is None else list(map(max, out, col))
+            return out
+
+    elif isinstance(d, Euclidean) and dim is not None:
+
+        def fresh(a, part):
+            return list(map(math.dist, repeat(a), part))
+
+    elif isinstance(d, MaxOf):
+        parts = []
+        for p in d.parts:
+            row = _rows(p, dim, p._coords(dim)) if isinstance(p, Pseudometric) else None
+            if row is None:
+                return None
+            parts.append(row)
+
+        def fresh(a, part):
+            out = parts[0](a, part)
+            for row in parts[1:]:
+                out = list(map(max, out, row(a, part)))
+            return out
+
+    else:
+        return None
+    return fresh
 
 
 def _ball_masks(xs, ys, ks):

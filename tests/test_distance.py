@@ -440,13 +440,13 @@ def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
     evaluator = distance._piece_values
 
     def counting(*args):
-        dist, matches = evaluator(*args)
+        dist, value, matches = evaluator(*args)
 
         def counted(i, lo, hi):
             cells.append(hi - lo + 1)
             return dist(i, lo, hi)
 
-        return counted, matches
+        return counted, value, matches
 
     monkeypatch.setattr(distance, "_piece_values", counting)
     rng = random.Random(3)
@@ -459,6 +459,56 @@ def test_first_probe_solve_reads_only_the_endpoint_cells(d, monkeypatch):
     assert cells == []
     assert skorohod_distance(x, y, d).value == low
     assert cells == [1, 1]
+
+
+@pytest.mark.parametrize("d", [MAXC, ABS], ids=["max-coordinate", "euclidean-1d"])
+def test_search_reads_only_the_endpoint_cells_and_the_bracketed_pairs(d, monkeypatch):
+    # Past the endpoint cells of L, a searching solve evaluates d only on the
+    # pairs of the band at the bracket's top whose value is in the bracket.
+    cells, pairs, brackets = [], [], []
+    evaluator, thresholds = distance._piece_values, _BandedDP.thresholds
+
+    def counting(*args):
+        dist, value, matches = evaluator(*args)
+
+        def counted(i, lo, hi):
+            cells.append(hi - lo + 1)
+            return dist(i, lo, hi)
+
+        def valued(i, j):
+            pairs.append((i, j))
+            return value(i, j)
+
+        return counted, valued, matches
+
+    def logged(self, lo, top):
+        brackets.append((lo, top))
+        return thresholds(self, lo, top)
+
+    monkeypatch.setattr(distance, "_piece_values", counting)
+    monkeypatch.setattr(_BandedDP, "thresholds", logged)
+    rng, searched = random.Random(4), 0
+    for _ in range(12):
+        x, y = _mask_pair(rng, 64, d is MAXC)
+        for log in (cells, pairs, brackets):
+            log.clear()
+        skorohod_distance(x, y, d)
+        assert cells == [1, 1]
+        if not brackets:  # settled without enumerating
+            continue
+        searched += 1
+        ((lo, top),) = brackets
+        s = [Fraction(t) for t in (*x.times, 1.0)]
+        r = [Fraction(t) for t in (*y.times, 1.0)]
+        w = Fraction(top)
+        want = [
+            (i, j)
+            for i, xv in enumerate(x.values)
+            for j, yv in enumerate(y.values)
+            if r[j + 1] >= s[i] - w and r[j] <= s[i + 1] + w and lo <= d(xv, yv) <= top
+        ]
+        assert sorted(pairs) == want
+    assert searched >= 3
 
 
 def test_distance_rejects_non_finite_metric():
@@ -718,6 +768,38 @@ def test_distance_is_least_feasible_candidate(inst, data):
 )
 @given(inst=instances(), data=st.data())
 def test_thresholds_are_the_bracketed_part_of_the_binding_set(inst, data):
+    _check_bracketed_thresholds(inst, data)
+
+
+@st.composite
+def plane_instances(draw):
+    """2-D values under the maximum of the coordinates, whose ``matches``
+    are ball masks, or under the maximum of ``Euclidean`` and a coordinate,
+    whose ``matches`` compare rows."""
+    tx, ty = draw(jump_times()), draw(jump_times())
+    level = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0))
+    value = st.tuples(level, level)
+    d = draw(st.sampled_from((MAXC, MaxOf((Euclidean(), Coordinate(1))))))
+    x = make_step(tx, [draw(value) for _ in tx])
+    y = make_step(ty, [draw(value) for _ in ty])
+    return x, y, d
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=plane_instances(), data=st.data())
+def test_thresholds_are_the_bracketed_part_of_the_binding_set_in_the_plane(inst, data):
+    _check_bracketed_thresholds(inst, data)
+
+
+def _check_bracketed_thresholds(inst, data):
+    """``thresholds(lo, top)`` is the part in [lo, top] of the binding set at
+    top, for a drawn lo and top."""
     x, y, d = inst
     cands = _can_bind(x, y, d)
     dp = _BandedDP(x, y, d)
@@ -741,6 +823,50 @@ def test_thresholds_are_the_bracketed_part_of_the_binding_set(inst, data):
     top = max(lo, top)
     binding = _can_bind(x, y, d, top)
     assert dp.thresholds(lo, top) == [c for c in binding if lo <= c <= top]
+
+
+class _SearchLog(_BandedDP):
+    """Logs the search in order: ("probe", eps, feasible) per probe and
+    ("thresholds", lo, top) per enumeration."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, x, y, d):
+        super().__init__(x, y, d)
+        self.log = []
+
+    def probe(self, eps):
+        probed = super().probe(eps)
+        self.log.append(("probe", eps, probed is not None))
+        return probed
+
+    def thresholds(self, lo, top):
+        self.log.append(("thresholds", lo, top))
+        return super().thresholds(lo, top)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(inst=st.one_of(instances(), plane_instances()))
+def test_bisection_narrows_the_gallop_bracket(inst):
+    # The gallop ends at its first feasible probe.  Bisection takes no more
+    # probes than the gallop did, and below 1 it leaves thresholds a bracket
+    # no wider than the gallop's first step.
+    x, y, d = inst
+    dp = _SearchLog(x, y, d)
+    dp.least_feasible()
+    log = dp.log
+    gallop = 1 + next(k for k, (_, _, ok) in enumerate(log) if ok)
+    end = next((k for k, entry in enumerate(log) if entry[0] == "thresholds"), len(log))
+    assert end - gallop <= gallop
+    if log[gallop - 1][1] <= 1.0 and end < len(log):
+        _, lo, top = log[end]
+        assert top - lo <= 1.0 / (len(dp.a) + len(dp.b) + 2)
 
 
 # --- property: exact on adversarial inputs ---------------------------------

@@ -260,7 +260,7 @@ def _dim(value):
 
 def _row(d, a, bs):
     """d at (a, b) for every b in bs, as one row of ``_piece_values``."""
-    dist, _ = _piece_values(d, (a,), bs, _dim(a))
+    dist, _, _ = _piece_values(d, (a,), bs, _dim(a))
     return dist(0, 0, len(bs) - 1)
 
 
@@ -353,14 +353,14 @@ def test_table_edge_cases():
     # no pair in a window, no check: as the pairwise loop
     assert _piece_values(Euclidean(), ["idle"], ["busy"], None)[0](0, 1, 0) == []
     assert _piece_values(Coordinate(3), [(0.0, 1.0)], [], 2)[0](0, 0, -1) == []
-    dist, _ = _piece_values(
+    dist, _, _ = _piece_values(
         MaxOf((Coordinate(1), Coordinate(2))),
         [(0.0, 0.0), (1.0, 3.0)], [(2.0, 5.0), (1.0, 1.0), (0.0, 0.5)], 2,
     )
     assert dist(0, 0, 2) == [5.0, 1.0, 0.5]
     assert dist(1, 1, 2) == [2.0, 2.5]
     # a value that a user map rejects fails only in its own row
-    dist, _ = _piece_values(
+    dist, _, _ = _piece_values(
         MaxOf((Coordinate(1), PulledBack(_FailsBelowZero(1), Euclidean()))),
         [(0.0,), (-1.0,)], [(3.0,), (4.0,)], 1,
     )
@@ -389,7 +389,7 @@ def _windows(draw, n, p):
     data=st.data(),
 )
 def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
-    dist, _ = _piece_values(d, xs, ys, DIM)
+    dist, _, _ = _piece_values(d, xs, ys, DIM)
     for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
         assert _bits(dist(i, lo, hi)) == _bits([d(xs[i], y) for y in ys[lo : hi + 1]])
 
@@ -403,7 +403,7 @@ def test_table_rows_are_bit_identical_to_pairwise_calls(d, xs, ys, data):
 def test_table_fails_where_and_as_pairwise_calls_fail(d, space, data):
     xs = data.draw(st.lists(space, min_size=1, max_size=6))
     ys = data.draw(st.lists(space, min_size=1, max_size=10))
-    dist, _ = _piece_values(d, xs, ys, _dim(xs[0]))
+    dist, _, _ = _piece_values(d, xs, ys, _dim(xs[0]))
     for i, lo, hi in data.draw(_windows(len(xs), len(ys))):
         want = _outcome(lambda: [d(xs[i], y) for y in ys[lo : hi + 1]])
         assert _outcome(lambda: dist(i, lo, hi)) == want
@@ -442,7 +442,7 @@ def _check_masks(d, xs, ys, extra_eps):
     """``matches`` over each full row is the direct comparison at the edge
     eps values, for an interval metric on the vectors it fits."""
     assert d._coords(_dim(xs[0])) is not None
-    _, matches = _piece_values(d, xs, ys, _dim(xs[0]))
+    _, _, matches = _piece_values(d, xs, ys, _dim(xs[0]))
     hi = len(ys) - 1
     for i, a in enumerate(xs):
         eps_values = {0.0, -0.0, -1.0, math.inf, math.nan, *extra_eps}
@@ -480,13 +480,14 @@ def test_ball_masks_on_scalars(d, xs, ys, eps):
 def test_piece_values_are_the_pairwise_evaluation(d, space, data):
     xs = data.draw(st.lists(space, min_size=1, max_size=6))
     ys = data.draw(st.lists(space, min_size=1, max_size=10))
-    dist, matches = _piece_values(d, xs, ys, _dim(xs[0]))
+    dist, value, matches = _piece_values(d, xs, ys, _dim(xs[0]))
     extra_eps = data.draw(st.floats(0.0, 2.0))
 
     def check(i, lo, hi):
         a, part = xs[i], ys[lo : hi + 1]
         want = _outcome(lambda: [d(a, b) for b in part])
         assert _outcome(lambda: dist(i, lo, hi)) == want
+        assert _outcome(lambda: [value(i, j) for j in range(lo, hi + 1)]) == want
         if isinstance(want, str):  # raises
             assert _outcome(lambda: [matches(i, lo, hi, 0.0)]) == want
             return
@@ -527,11 +528,12 @@ def test_piece_values_are_the_pairwise_evaluation(d, space, data):
 def test_bad_values_give_no_masks_and_the_table_raises(d, xs, ys):
     dim = _dim(xs[0])
     assert d._coords(dim) is None
-    dist, matches = _piece_values(d, xs, ys, dim)
+    dist, value, matches = _piece_values(d, xs, ys, dim)
     for i, a in enumerate(xs):
         want = _outcome(lambda: [d(a, b) for b in ys])
         assert want.startswith("raises ")
         assert _outcome(lambda: dist(i, 0, len(ys) - 1)) == want
+        assert _outcome(lambda: [value(i, j) for j in range(len(ys))]) == want
         assert _outcome(lambda: [matches(i, 0, len(ys) - 1, 1.0)]) == want
 
 
@@ -544,3 +546,30 @@ def test_kinds_without_masks():
         (MaxOf((Coordinate(1), Scaled(1.0, Coordinate(2)))), 2),
     ):
         assert d._coords(dim) is None, d
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        MaxOf((Euclidean(), Coordinate(1))),
+        MaxOf((Coordinate(2), MaxOf((Euclidean(), Coordinate(1))))),
+        MaxOf((Euclidean(), Euclidean(), Coordinate(2))),
+    ],
+)
+def test_max_of_parts_that_batch_is_batched(d, monkeypatch):
+    # On 2-D vectors coordinates and Euclidean batch, so their maximum folds
+    # the parts' rows with no pairwise call, bit for bit as the pairwise calls.
+    rng = random.Random(6)
+    edge = [(u, v) for u in (0.0, -0.0, 1e300, -1.7e308, 5e-324) for v in (1.0, 1e16, 1.7e308)]
+    xs, ys = [*rand_pairs(rng, 4), *edge], [*edge, *rand_pairs(rng, 8)]
+    want = [_bits([d(a, b) for b in ys]) for a in xs]
+
+    def pairwise(self, a, b):
+        raise AssertionError(f"{self} evaluated pair by pair")
+
+    for kind in (Coordinate, Euclidean, MaxOf):
+        monkeypatch.setattr(kind, "__call__", pairwise)
+    dist, value, _ = _piece_values(d, xs, ys, 2)
+    for i in range(len(xs)):
+        assert _bits(dist(i, 0, len(ys) - 1)) == want[i]
+        assert _bits([value(i, j) for j in range(len(ys))]) == want[i]
